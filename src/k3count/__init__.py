@@ -32,7 +32,6 @@ from .invariants import (
 from .numsg import (
     InfiniteComplementError,
     NumericalSemigroup,
-    membership,
     semigroup_from_generators,
 )
 from .qseries import (
@@ -85,7 +84,6 @@ __all__ = [
     "epsilon_semigroup",
     "euler_product",
     "format_singularity",
-    "membership",
     "minimal_generators",
     "multiplicity",
     "necklace_to_delta",

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 for success (including a matching ``check``), 1 for domain
-errors such as non-coprime inputs, 2 for usage and parse errors, 3 for a
-``check`` that ran but did not match.
+errors such as non-coprime inputs, 2 for usage and parse errors (a curve
+file that cannot be opened or is not UTF-8 included), 3 for a ``check``
+that ran but did not match.
 """
 
 from __future__ import annotations
@@ -10,19 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd, prod
 
 from .invariants import (
-    Ade,
     CurveSpecError,
-    MultiBranch,
-    PlanarPQ,
-    SemigroupPoint,
-    Singularity,
-    branches_of_ade,
     check_genus_sum,
-    epsilon_pq,
-    epsilon_semigroup,
     format_singularity,
     parse_curve,
     parse_curve_file,
@@ -116,60 +108,22 @@ def _cmd_eg(args) -> int:
     return 0
 
 
-_METHODS = {
-    PlanarPQ: "closed-form",
-    Ade: "ade-table",
-    SemigroupPoint: "enumeration",
-    MultiBranch: "branch-product",
-}
-
-
-def _verify_route(sing: Singularity, max_window: int | None) -> dict:
-    """Recompute epsilon along an independent route, or report why not."""
-    if isinstance(sing, PlanarPQ):
-        s = semigroup_from_generators((sing.p, sing.q))
-        window = s.frobenius + s.genus
-        if max_window is not None and window > max_window:
-            return {
-                "skipped": True,
-                "reason": f"enumeration window {window} exceeds max-window {max_window}",
-            }
-        return {"method": "enumeration", "value": epsilon_semigroup(s)}
-    if isinstance(sing, SemigroupPoint):
-        gens = sing.semigroup.generators
-        if len(gens) == 2 and gcd(gens[0], gens[1]) == 1:
-            return {"method": "closed-form", "value": epsilon_pq(gens[0], gens[1])}
-        return {
-            "skipped": True,
-            "reason": "no independent closed form for this semigroup",
-        }
-    if isinstance(sing, Ade):
-        value = prod(b.epsilon for b in branches_of_ade(sing))
-        return {"method": "branch-product", "value": value}
-    results = [_verify_route(b, max_window) for b in sing.branches]
-    for r in results:
-        if r.get("skipped"):
-            return r
-    return {"method": "per-branch", "value": prod(r["value"] for r in results)}
-
-
 def _cmd_epsilon(args) -> int:
     sing = parse_singularity(args.token)
     eps = sing.epsilon
-    method = _METHODS[type(sing)]
-    verify = _verify_route(sing, args.max_window) if args.verify else None
+    verify = sing.verify(args.max_window) if args.verify else None
     agrees = None
     if verify is not None and not verify.get("skipped"):
         agrees = verify["value"] == eps
         verify["agrees"] = agrees
     if args.json:
-        payload = {"token": format_singularity(sing), "epsilon": eps, "method": method}
+        payload = {"token": format_singularity(sing), "epsilon": eps, "method": sing.method}
         if verify is not None:
             payload["verify"] = verify
         _print_json(payload)
     else:
         print(f"epsilon = {eps}")
-        print(f"method = {method}")
+        print(f"method = {sing.method}")
         if verify is not None:
             if verify.get("skipped"):
                 print(f"verified = skipped ({verify['reason']})")
@@ -246,10 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CurveSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CurveSpecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -3,14 +3,19 @@
 epsilon counts the rank-1 torsion-free module classes of a singular
 point; a rational curve contributes the product of epsilon over its
 singular points to the count of rational curves in its linear system.
-Three routes compute it:
+Three routes compute it, and each descriptor names the one that gives
+its epsilon (``method``) and the independent one that checks it
+(``verify``):
 
-* closed form binomial(p+q,p)/(p+q) for a planar unibranch point with
-  local equation u^p = v^q, p and q coprime;
-* exhaustive Delta-set enumeration for any value semigroup;
-* a lookup table for the simple (ADE) singularities, each of which also
-  decomposes into planar branches whose epsilons multiply to the table
-  value.
+* ``PlanarPQ``, the planar unibranch point u^p = v^q with p and q
+  coprime: closed form binomial(p+q,p)/(p+q), checked by Delta-set
+  enumeration over <p,q>;
+* ``SemigroupPoint``: exhaustive Delta-set enumeration for any value
+  semigroup, checked by the closed form when it has two generators;
+* ``Ade``: a lookup table for the simple singularities, checked by the
+  product over the planar branches each decomposes into;
+* ``MultiBranch``: the product over its branches, checked by verifying
+  each branch.
 
 A smooth branch is the degenerate planar point with p = q = 1 and has
 epsilon 1; a node is two transversal smooth branches and also counts 1.
@@ -21,11 +26,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, gcd, prod
+from math import prod
 
 from .numsg import NumericalSemigroup, semigroup_from_generators
 from .qseries import yau_zaslow_coefficients
-from .semimodule import enumerate_delta_sets
+from .semimodule import count_necklaces, enumerate_delta_sets, require_coprime
 
 
 class CurveSpecError(ValueError):
@@ -35,8 +40,19 @@ class CurveSpecError(ValueError):
 class Singularity:
     """Base for the singular-point descriptors below."""
 
+    method: str  # the route that computes ``epsilon``
+
     @property
     def epsilon(self) -> int:
+        raise NotImplementedError
+
+    def verify(self, max_window: int | None = None) -> dict:
+        """Recompute epsilon along a route independent of ``method``.
+
+        Returns ``{"method": ..., "value": ...}``, or
+        ``{"skipped": True, "reason": ...}`` when no independent route
+        exists or an enumeration window exceeds ``max_window``.
+        """
         raise NotImplementedError
 
     @property
@@ -52,22 +68,31 @@ class PlanarPQ(Singularity):
     p: int
     q: int
 
+    method = "closed-form"
+
     def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"p and q must be positive, got ({self.p}, {self.q})")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(
-                f"p and q must be coprime, got gcd({self.p}, {self.q}) "
-                f"= {gcd(self.p, self.q)}; the point would not be unibranch"
-            )
+        require_coprime(self.p, self.q)
 
     @cached_property
     def epsilon(self) -> int:
         return epsilon_pq(self.p, self.q)
 
+    def verify(self, max_window: int | None = None) -> dict:
+        s = semigroup_from_generators((self.p, self.q))
+        window = s.frobenius + s.genus
+        if max_window is not None and window > max_window:
+            return {
+                "skipped": True,
+                "reason": f"enumeration window {window} exceeds max-window {max_window}",
+            }
+        return {"method": "enumeration", "value": SemigroupPoint(s).epsilon}
+
     @property
     def delta(self) -> int:
         return (self.p - 1) * (self.q - 1) // 2
+
+    def __str__(self) -> str:
+        return f"pq({self.p},{self.q})"
 
 
 _ADE_INDEX_FLOOR = {"A": 1, "D": 4, "E": 6}
@@ -79,6 +104,8 @@ class Ade(Singularity):
 
     family: str
     index: int
+
+    method = "ade-table"
 
     def __post_init__(self) -> None:
         if self.family not in _ADE_INDEX_FLOOR:
@@ -94,10 +121,17 @@ class Ade(Singularity):
     def epsilon(self) -> int:
         return epsilon_ade(self)
 
+    def verify(self, max_window: int | None = None) -> dict:
+        value = prod(b.epsilon for b in branches_of_ade(self))
+        return {"method": "branch-product", "value": value}
+
     @property
     def delta(self) -> int:
         # Milnor relation for simple singularities: index = 2*delta - r + 1
         return (self.index + len(branches_of_ade(self)) - 1) // 2
+
+    def __str__(self) -> str:
+        return f"{self.family}{self.index}"
 
 
 @dataclass(frozen=True)
@@ -106,13 +140,28 @@ class SemigroupPoint(Singularity):
 
     semigroup: NumericalSemigroup
 
+    method = "enumeration"
+
     @cached_property
     def epsilon(self) -> int:
         return epsilon_semigroup(self.semigroup)
 
+    def verify(self, max_window: int | None = None) -> dict:
+        # two generators of a numerical semigroup are coprime
+        gens = self.semigroup.generators
+        if len(gens) == 2:
+            return {"method": "closed-form", "value": PlanarPQ(*gens).epsilon}
+        return {
+            "skipped": True,
+            "reason": "no independent closed form for this semigroup",
+        }
+
     @property
     def delta(self) -> int:
         return self.semigroup.genus
+
+    def __str__(self) -> str:
+        return "sg(" + ",".join(str(g) for g in self.semigroup.generators) + ")"
 
 
 @dataclass(frozen=True)
@@ -120,6 +169,8 @@ class MultiBranch(Singularity):
     """A point with several branches; epsilon multiplies over them."""
 
     branches: tuple[Singularity, ...]
+
+    method = "branch-product"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "branches", tuple(self.branches))
@@ -130,19 +181,23 @@ class MultiBranch(Singularity):
     def epsilon(self) -> int:
         return prod(b.epsilon for b in self.branches)
 
+    def verify(self, max_window: int | None = None) -> dict:
+        results = [b.verify(max_window) for b in self.branches]
+        for r in results:
+            if r.get("skipped"):
+                return r
+        return {"method": "per-branch", "value": prod(r["value"] for r in results)}
+
+    def __str__(self) -> str:
+        return "branches[" + ";".join(str(b) for b in self.branches) + "]"
+
 
 NODE = MultiBranch((PlanarPQ(1, 1), PlanarPQ(1, 1)))
 
 
 def epsilon_pq(p: int, q: int) -> int:
     """Closed form binomial(p+q,p)/(p+q) for the point u^p = v^q."""
-    if p < 1 or q < 1:
-        raise ValueError(f"p and q must be positive, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
-    total, rem = divmod(comb(p + q, p), p + q)
-    assert rem == 0
-    return total
+    return count_necklaces(p, q)
 
 
 def epsilon_semigroup(s: NumericalSemigroup) -> int:
@@ -317,13 +372,5 @@ def parse_curve_file(text: str) -> list[CurveRecord]:
 
 
 def format_singularity(sing: Singularity) -> str:
-    """Canonical mini-language rendering of a descriptor."""
-    if isinstance(sing, Ade):
-        return f"{sing.family}{sing.index}"
-    if isinstance(sing, PlanarPQ):
-        return f"pq({sing.p},{sing.q})"
-    if isinstance(sing, SemigroupPoint):
-        return "sg(" + ",".join(str(g) for g in sing.semigroup.generators) + ")"
-    if isinstance(sing, MultiBranch):
-        return "branches[" + ";".join(format_singularity(b) for b in sing.branches) + "]"
-    raise TypeError(f"unknown singularity type {type(sing).__name__}")
+    """Canonical mini-language rendering of a descriptor, ``str(sing)``."""
+    return str(sing)

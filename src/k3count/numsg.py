@@ -94,8 +94,3 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     """
     gen_list = _normalized_generators(gens)
     return NumericalSemigroup(gen_list, _gap_sieve(gen_list))
-
-
-def membership(s: NumericalSemigroup, n: int) -> bool:
-    """True when n is a member: n >= 0 and n is not a gap."""
-    return n in s

@@ -145,37 +145,40 @@ def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
 def minimal_generators(m: GammaModule) -> tuple[int, ...]:
     """Smallest G with Delta equal to the union of g + Gamma over g in G.
 
-    An element is a generator exactly when subtracting any nonzero member
-    of Gamma leaves Delta.  Elements above max gap + min nonzero member
-    are never generators, which bounds the scan.
+    With p the smallest generator of Gamma, a generator of Delta is the
+    least member of its residue class mod p (else subtracting p stays in
+    Delta), and such a least member w is a generator exactly when no
+    w - g, for g a generator of Gamma, lies in Delta: any other member
+    of Gamma is g plus a member, and Delta is closed under adding those.
     """
-    s = m.semigroup
+    gens = m.semigroup.generators
     gaps = set(m.gap_set)
-    top = max(gaps) if gaps else -1
-    least = 1
-    while least not in s:
-        least += 1
-    out = []
-    for d in range(top + least + 1):
-        if d in gaps:
-            continue
-        reachable = any(
-            g in s and (d - g) not in gaps for g in range(1, d + 1)
-        )
-        if not reachable:
-            out.append(d)
-    return tuple(out)
+    return tuple(sorted(
+        w for w in _least_members(gaps, gens[0])
+        if all(w - g < 0 or w - g in gaps for g in gens)
+    ))
+
+
+def _least_members(gaps: set[int], step: int) -> list[int]:
+    """Least member of Delta in each residue class 0..step-1 mod step."""
+    least = []
+    for v in range(step):
+        while v in gaps:
+            v += step
+        least.append(v)
+    return least
 
 
 def count_necklaces(p: int, q: int) -> int:
     """Rotation classes of p-subsets of {1..p+q}: binomial(p+q,p)/(p+q)."""
-    _require_coprime(p, q)
+    require_coprime(p, q)
     total, rem = divmod(comb(p + q, p), p + q)
     assert rem == 0  # rotation acts freely when gcd(p, p+q) = 1
     return total
 
 
-def _require_coprime(p: int, q: int) -> None:
+def require_coprime(p: int, q: int) -> None:
+    """Raise ValueError unless p and q are positive and coprime."""
     if p < 1 or q < 1:
         raise ValueError(f"p and q must be positive, got ({p}, {q})")
     if gcd(p, q) != 1:
@@ -200,7 +203,7 @@ class NecklaceProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "a_seq", tuple(self.a_seq))
-        _require_coprime(self.p, self.q)
+        require_coprime(self.p, self.q)
         n = self.p + self.q
         if len(self.members) != self.p:
             raise ValueError(f"member set must have exactly {self.p} elements")
@@ -236,7 +239,7 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     representative, so any rotation of the same subset lands on the same
     module.
     """
-    _require_coprime(p, q)
+    require_coprime(p, q)
     chosen = sorted({int(i) for i in members})
     n = p + q
     if len(chosen) != p:
@@ -263,22 +266,15 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     traverses them in a single cycle; the positions of first-group visits
     along that cycle are the subset, read in its least rotation.
     """
-    _require_coprime(p, q)
+    require_coprime(p, q)
     gamma = semigroup_from_generators((p, q))
     if m.semigroup.gap_set != gamma.gap_set:
         raise ValueError(
             f"module lives over {m.semigroup}, not over {gamma}"
         )
     gaps = set(m.gap_set)
-
-    def least_in_class(residue: int, step: int) -> int:
-        v = residue
-        while v in gaps:
-            v += step
-        return v
-
-    p_offsets = [least_in_class(r, p) for r in range(p)]
-    q_offsets = [least_in_class(r, q) + p for r in range(q)]
+    p_offsets = _least_members(gaps, p)
+    q_offsets = [v + p for v in _least_members(gaps, q)]
     values = p_offsets + q_offsets
     value_set = set(values)
     assert len(value_set) == p + q

@@ -76,3 +76,23 @@ def naive_members(gens, bound: int) -> set[int]:
                     nxt.add(value)
         frontier = nxt
     return reachable
+
+
+def scan_minimal_generators(semigroup_gaps, module_gaps) -> tuple[int, ...]:
+    """Minimal generators of a module by scanning every member.
+
+    A member d of Delta is a generator when no d - s, for s a nonzero
+    member of Gamma, is in Delta.  Elements above max gap + least nonzero
+    member of Gamma are never generators, which bounds the scan.
+    """
+    s_gaps, gaps = set(semigroup_gaps), set(module_gaps)
+    top = max(gaps, default=-1)
+    least = 1
+    while least in s_gaps:
+        least += 1
+    return tuple(
+        d
+        for d in range(top + least + 1)
+        if d not in gaps
+        and not any(g not in s_gaps and (d - g) not in gaps for g in range(1, d + 1))
+    )

@@ -27,6 +27,28 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_verify_output(capsys, argv, eps, method, verify):
+    """``argv`` prints exactly these lines as text and this payload as JSON."""
+    lines = [f"epsilon = {eps}", f"method = {method}"]
+    if verify.get("skipped"):
+        lines.append(f"verified = skipped ({verify['reason']})")
+    else:
+        lines += [
+            f"verify-method = {verify['method']}",
+            f"verify-value = {verify['value']}",
+            "verified = true",
+        ]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "".join(line + "\n" for line in lines)
+
+    token = argv[argv.index("epsilon") + 1]
+    payload = {"token": token, "epsilon": eps, "method": method, "verify": verify}
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 class TestEg:
     def test_golden_table(self, capsys):
         code, out, _ = run_cli(capsys, "eg", "3")
@@ -79,41 +101,45 @@ class TestEpsilon:
         assert code == 0
         assert out.startswith("epsilon = 1\n")
 
-    def test_verify_semigroup_against_closed_form(self, capsys):
-        code, out, _ = run_cli(capsys, "epsilon", "sg(4,5)", "--verify")
-        assert code == 0
-        assert "epsilon = 14" in out
-        assert "verified = true" in out
+    # Full stdout of ``epsilon --verify``, text and JSON, for each way a
+    # check can end.
 
     def test_verify_pq_against_enumeration(self, capsys):
-        code, out, _ = run_cli(capsys, "epsilon", "pq(3,5)", "--verify")
-        assert code == 0
-        assert "verify-method = enumeration" in out
-        assert "verify-value = 7" in out
-        assert "verified = true" in out
-
-    def test_verify_window_cap_reports_skipped(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "--max-window", "5", "epsilon", "pq(3,5)", "--verify"
+        assert_verify_output(
+            capsys, ("epsilon", "pq(3,5)", "--verify"), 7, "closed-form",
+            {"method": "enumeration", "value": 7, "agrees": True},
         )
-        assert code == 0
-        assert "verified = skipped" in out
 
-    def test_verify_skipped_for_wide_semigroup(self, capsys):
-        code, out, _ = run_cli(capsys, "epsilon", "sg(4,6,9)", "--verify")
-        assert code == 0
-        assert "verified = skipped" in out
+    def test_verify_semigroup_against_closed_form(self, capsys):
+        assert_verify_output(
+            capsys, ("epsilon", "sg(4,5)", "--verify"), 14, "enumeration",
+            {"method": "closed-form", "value": 14, "agrees": True},
+        )
 
     def test_verify_json_shape(self, capsys):
-        code, out, _ = run_cli(capsys, "epsilon", "E8", "--verify", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload == {
-            "token": "E8",
-            "epsilon": 7,
-            "method": "ade-table",
-            "verify": {"method": "branch-product", "value": 7, "agrees": True},
-        }
+        assert_verify_output(
+            capsys, ("epsilon", "E8", "--verify"), 7, "ade-table",
+            {"method": "branch-product", "value": 7, "agrees": True},
+        )
+
+    def test_verify_branches_per_branch(self, capsys):
+        assert_verify_output(
+            capsys, ("epsilon", "branches[pq(2,3);A2]", "--verify"), 4, "branch-product",
+            {"method": "per-branch", "value": 4, "agrees": True},
+        )
+
+    def test_verify_window_cap_reports_skipped(self, capsys):
+        assert_verify_output(
+            capsys, ("--max-window", "5", "epsilon", "branches[A2;pq(3,5)]", "--verify"),
+            14, "branch-product",
+            {"skipped": True, "reason": "enumeration window 11 exceeds max-window 5"},
+        )
+
+    def test_verify_skipped_for_wide_semigroup(self, capsys):
+        assert_verify_output(
+            capsys, ("epsilon", "sg(4,6,9)", "--verify"), 17, "enumeration",
+            {"skipped": True, "reason": "no independent closed form for this semigroup"},
+        )
 
     def test_gcd_failure_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "epsilon", "pq(4,6)")
@@ -222,6 +248,14 @@ class TestCheck:
         path.write_text("node\nwhat\n", encoding="utf-8")
         code, _, _ = run_cli(capsys, "check", str(path), "--g", "1")
         assert code == 2
+
+    def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "curves.txt"
+        path.write_bytes(b"node # caf\xe9\n")
+        code, out, err = run_cli(capsys, "check", str(path), "--g", "0")
+        assert code == 2
+        assert out == ""
+        assert "utf-8" in err
 
     def test_comments_and_blanks_ignored(self, tmp_path, capsys):
         path = tmp_path / "curves.txt"

@@ -1,5 +1,6 @@
 """Epsilon routes, ADE table, branch decompositions, and the parser."""
 
+from functools import cached_property
 from math import gcd, prod
 
 import pytest
@@ -13,6 +14,7 @@ from k3count.invariants import (
     MultiBranch,
     PlanarPQ,
     SemigroupPoint,
+    Singularity,
     branches_of_ade,
     check_genus_sum,
     epsilon_ade,
@@ -289,3 +291,31 @@ class TestParser:
                       "branches[pq(2,3);pq(1,1)]"]:
             sing = parse_singularity(token)
             assert parse_singularity(format_singularity(sing)) == sing
+
+
+class TestDescriptorContract:
+    """Each descriptor names its route and checks it; the CLI relies on both."""
+
+    @pytest.mark.parametrize("cls", [PlanarPQ, Ade, SemigroupPoint, MultiBranch])
+    def test_defines_method_verify_and_epsilon(self, cls):
+        assert isinstance(cls.__dict__["method"], str)
+        assert callable(cls.__dict__["verify"])
+        assert isinstance(cls.__dict__["epsilon"], cached_property)
+
+    def test_methods_are_distinct(self):
+        methods = {cls.method for cls in Singularity.__subclasses__()}
+        assert methods == {"closed-form", "ade-table", "enumeration", "branch-product"}
+
+    @pytest.mark.parametrize("token", ["pq(3,5)", "sg(4,5)", "E7", "D9", "branches[A2;node]"])
+    def test_verify_agrees_with_epsilon(self, token):
+        sing = parse_singularity(token)
+        result = sing.verify()
+        assert result["value"] == sing.epsilon
+        assert result["method"] != sing.method
+
+    def test_window_skip_names_the_window(self):
+        assert PlanarPQ(3, 5).verify(max_window=5) == {
+            "skipped": True,
+            "reason": "enumeration window 11 exceeds max-window 5",
+        }
+        assert PlanarPQ(3, 5).verify(max_window=11)["value"] == 7

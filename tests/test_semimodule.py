@@ -20,6 +20,8 @@ from k3count.semimodule import (
     normalize_translate,
 )
 
+from oracles import scan_minimal_generators
+
 SMALL_PAIRS = [
     (p, q)
     for p in range(1, 12)
@@ -124,6 +126,14 @@ class TestMinimalGenerators:
     def test_shifted_copy_of_n(self):
         s = semigroup_from_generators({3, 5})
         assert minimal_generators(GammaModule(s, (0, 1, 2, 3))) == (4, 5, 6)
+
+    @pytest.mark.parametrize("gens", [
+        *SMALL_PAIRS, (4, 6, 9), (3, 5, 7), (6, 7, 8, 9, 10, 11), (2, 3, 4), (3, 4, 5, 6),
+    ], ids=lambda gens: ",".join(map(str, gens)))
+    def test_matches_the_full_scan(self, gens):
+        s = semigroup_from_generators(gens)
+        for m in enumerate_delta_sets(s):
+            assert minimal_generators(m) == scan_minimal_generators(s.gap_set, m.gap_set)
 
     def test_generators_regenerate_the_module(self):
         for p, q in SMALL_PAIRS:
