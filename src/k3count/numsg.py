@@ -4,12 +4,18 @@ The finite complement (the gap set) is a complete description: its size
 is the genus, its maximum is the Frobenius number, and every larger
 integer is a member.  For the monomial curve singularity with value
 semigroup Gamma, the genus equals the local delta invariant.
+
+The gap set is read off the Apéry set of the smallest generator m: the
+least member of each residue class mod m, found in O(m^2 + m*|gens|)
+steps however large the Frobenius number is.  ``semigroup_from_generators``
+builds each distinct semigroup once and returns the same immutable
+instance for every later call with the same generator set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 
 
@@ -31,18 +37,21 @@ def _normalized_generators(gens) -> tuple[int, ...]:
 
 
 def _gap_sieve(gen_list: tuple[int, ...]) -> tuple[int, ...]:
-    # Reachability sieve.  Once min(gen_list) consecutive members appear,
-    # every larger integer is a member, so the sieve may stop there.
-    smallest = gen_list[0]
-    member = [True]
-    run = 1
-    n = 0
-    while run < smallest:
-        n += 1
-        reachable = any(n >= g and member[n - g] for g in gen_list)
-        member.append(reachable)
-        run = run + 1 if reachable else 0
-    return tuple(i for i, ok in enumerate(member) if not ok)
+    # Apéry set of m = gen_list[0]: least[r] is the least member congruent
+    # to r mod m.  Classes are settled in increasing order of their least
+    # member (Dijkstra over the m classes, scanning for the next one), and
+    # the gaps of class r are r, r + m, ..., least[r] - m.
+    m = gen_list[0]
+    least = [None] * m
+    tentative = {0: 0}
+    while tentative:
+        r = min(tentative, key=tentative.__getitem__)
+        w = least[r] = tentative.pop(r)
+        for g in gen_list[1:]:
+            c = (w + g) % m
+            if least[c] is None and (c not in tentative or w + g < tentative[c]):
+                tentative[c] = w + g
+    return tuple(sorted(n for r in range(1, m) for n in range(r, least[r], m)))
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,11 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     The generators are kept as given (deduplicated and sorted); minimality
     is not required.  Raises ``InfiniteComplementError`` when their gcd
     exceeds 1 and ``ValueError`` for an empty or non-positive input.
+    Every call with the same generator set returns one shared instance.
     """
-    gen_list = _normalized_generators(gens)
+    return _semigroup(_normalized_generators(gens))
+
+
+@lru_cache(maxsize=1024)
+def _semigroup(gen_list: tuple[int, ...]) -> NumericalSemigroup:
     return NumericalSemigroup(gen_list, _gap_sieve(gen_list))

@@ -211,8 +211,7 @@ class NecklaceProfile:
             raise ValueError("members must be sorted and distinct")
         if self.members and not (1 <= self.members[0] and self.members[-1] <= n):
             raise ValueError(f"members must lie in 1..{n}")
-        word = _word(self.members, n)
-        if word != min(word[i:] + word[:i] for i in range(n)):
+        if _least_rotation(_word(self.members, n)) != 0:
             raise ValueError("members must be the least rotation of the class")
         if len(self.a_seq) != n:
             raise ValueError(f"a_seq must have length {n}")
@@ -228,6 +227,11 @@ class NecklaceProfile:
 def _word(members, n: int) -> tuple[int, ...]:
     in_s = set(members)
     return tuple(1 if i + 1 in in_s else 0 for i in range(n))
+
+
+def _least_rotation(word: tuple[int, ...]) -> int:
+    """First start index of the lexicographically least rotation of ``word``."""
+    return min(range(len(word)), key=lambda i: word[i:] + word[:i])
 
 
 def necklace_to_delta(members, p: int, q: int) -> GammaModule:
@@ -289,7 +293,7 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     n = p + q
     assert len(set(walk)) == n  # the successor map is a single (p+q)-cycle
     word = tuple(1 if v in p_set else 0 for v in walk)
-    start = min(range(n), key=lambda i: word[i:] + word[:i])
+    start = _least_rotation(word)
     canon = word[start:] + word[:start]
     members = tuple(i + 1 for i, bit in enumerate(canon) if bit)
     a_seq = tuple(walk[(i + start) % n] for i in range(n))

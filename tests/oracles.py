@@ -78,6 +78,26 @@ def naive_members(gens, bound: int) -> set[int]:
     return reachable
 
 
+def reachability_gap_sieve(gens) -> tuple[int, ...]:
+    """Gaps of the semigroup generated by ``gens``, sieving n = 1, 2, ...
+
+    Each n is a member when n - g is one for some generator g; once
+    min(gens) consecutive members appear, every larger integer is a
+    member, so the sieve stops there.
+    """
+    gen_list = sorted(set(gens))
+    smallest = gen_list[0]
+    member = [True]
+    run = 1
+    n = 0
+    while run < smallest:
+        n += 1
+        reachable = any(n >= g and member[n - g] for g in gen_list)
+        member.append(reachable)
+        run = run + 1 if reachable else 0
+    return tuple(i for i, ok in enumerate(member) if not ok)
+
+
 def scan_minimal_generators(semigroup_gaps, module_gaps) -> tuple[int, ...]:
     """Minimal generators of a module by scanning every member.
 

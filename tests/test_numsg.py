@@ -1,17 +1,20 @@
 """Semigroup construction against the classical two-generator facts."""
 
+from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from k3count import numsg
 from k3count.numsg import (
     InfiniteComplementError,
     NumericalSemigroup,
     semigroup_from_generators,
 )
+from k3count.semimodule import count_necklaces, delta_to_necklace, necklace_to_delta
 
-from oracles import naive_members
+from oracles import naive_members, reachability_gap_sieve
 
 coprime_pairs = [
     (p, q) for p in range(2, 12) for q in range(p + 1, 13) if gcd(p, q) == 1
@@ -93,12 +96,34 @@ class TestClassicalFacts:
         assert s.genus == (p - 1) * (q - 1) // 2
         assert s.frobenius == p * q - p - q
 
+    @pytest.mark.parametrize("p,q", [(2, 1001), (100, 101)])
+    def test_sylvester_at_scale(self, p, q):
+        s = semigroup_from_generators({p, q})
+        assert s.genus == (p - 1) * (q - 1) // 2
+        assert s.frobenius == p * q - p - q
+        assert s.gap_set == reachability_gap_sieve((p, q))
+
     @pytest.mark.parametrize("p,q", coprime_pairs)
     def test_sieve_matches_naive_reachability(self, p, q):
         s = semigroup_from_generators({p, q})
         bound = s.frobenius + 2
         members = naive_members((p, q), bound)
         assert set(s.gap_set) == set(range(bound)) - members
+        assert s.gap_set == reachability_gap_sieve((p, q))
+
+    @given(generator_sets())
+    @example([1])
+    @example([1, 4, 6])
+    @example([6, 10, 15])
+    @example([3, 5, 8, 9])
+    @example([4, 5, 11, 20])
+    def test_gap_set_matches_naive_reachability(self, gens):
+        # any number of generators, non-minimal sets and sets holding 1
+        s = semigroup_from_generators(gens)
+        bound = s.frobenius + 2
+        members = naive_members(gens, bound)
+        assert set(s.gap_set) == set(range(bound)) - members
+        assert s.gap_set == reachability_gap_sieve(gens)
 
 
 class TestClosureProperties:
@@ -125,3 +150,48 @@ class TestClosureProperties:
         for gap in s.gap_set:
             for a in range(gap + 1):
                 assert not (a in s and (gap - a) in s)
+
+
+class TestSharedInstances:
+    def test_same_generator_set_gives_one_instance(self):
+        assert semigroup_from_generators({5, 3}) is semigroup_from_generators([3, 5, 5])
+
+    def test_invalid_generators_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InfiniteComplementError):
+                semigroup_from_generators({4, 6})
+
+    def test_direct_construction_is_checked_after_caching(self):
+        semigroup_from_generators({3, 5})
+        with pytest.raises(ValueError):
+            NumericalSemigroup((3, 5), (1, 2, 4))
+        with pytest.raises(ValueError):
+            NumericalSemigroup((3, 5), (1, 2, 4, 7, 9))
+
+    def test_necklace_roundtrip_computes_no_gap_set(self, monkeypatch):
+        calls = []
+        original = numsg._gap_sieve
+
+        def counting(gen_list):
+            calls.append(gen_list)
+            return original(gen_list)
+
+        monkeypatch.setattr(numsg, "_gap_sieve", counting)
+        numsg._semigroup.cache_clear()
+        semigroup_from_generators((7, 9))
+        assert calls  # the warm-up call built <7,9> through the counter
+        calls.clear()
+
+        p, q = 7, 9
+        n = p + q
+        classes = set()
+        for members in combinations(range(1, n + 1), p):
+            word = tuple(1 if i + 1 in members else 0 for i in range(n))
+            if word != min(word[i:] + word[:i] for i in range(n)):
+                continue
+            module = necklace_to_delta(members, p, q)
+            profile = delta_to_necklace(module, p, q)
+            assert profile.members == members
+            classes.add(members)
+        assert len(classes) == count_necklaces(p, q)
+        assert calls == []
