@@ -196,6 +196,8 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values may run past 4300 digits
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,6 +9,10 @@ product prod_{n>=1} (1 - q^n)^(-24).  Its q^g coefficient e(g) counts the
 partitions of g into parts of 24 colours and is the predicted number of
 rational curves in a g-dimensional linear system on a K3 surface, with
 e(0) = 1.  ``yau_zaslow_coefficients`` returns that sequence.
+
+``euler_product`` gets any power of the Euler product from one exact
+recurrence over the sparse pentagonal series; the dense ring below is
+public API and its independent cross-check, not part of that path.
 """
 
 from __future__ import annotations
@@ -93,38 +97,30 @@ def series_inv(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(inv))
 
 
-def _series_pow(base: TruncatedSeries, n: int) -> TruncatedSeries:
-    # n >= 0; square-and-multiply keeps large exponents cheap
-    out = series_one(base.order)
-    while n:
-        if n & 1:
-            out = series_mul(out, base)
-        n >>= 1
-        if n:
-            base = series_mul(base, base)
-    return out
-
-
 def euler_product(exponent: int, order: int) -> TruncatedSeries:
-    """prod_{n=1}^{order-1} (1 - q^n)^exponent, truncated at ``order``.
+    """prod_{n>=1} (1 - q^n)^exponent, truncated at ``order``.
 
-    Factors with n >= order are congruent to 1 modulo q^order, so the
-    finite product is already exact.  Negative exponents go through
-    ``series_inv``.
+    By Euler's pentagonal number theorem a = prod (1 - q^n) is sparse:
+    a(j) = (-1)^k at j = k(3k -+ 1)/2.  J. C. P. Miller's recurrence
+    (Knuth, TAOCP Vol. 2, 4.7) gives b = a^exponent for any integer
+    exponent since a(0) = 1: n b(n) = sum_j ((exponent+1) j - n) a(j) b(n-j),
+    and the division by n is exact because b has integer coefficients.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if exponent == 0:
-        return series_one(order)
-    base = [1] + [0] * (order - 1)
+    # (j, a(j)) for the nonzero a(j) with 0 < j < order, in increasing j
+    terms = [(k * (3 * k + s) // 2, (-1) ** k) for k in range(1, order)
+             for s in (-1, 1) if k * (3 * k + s) // 2 < order]
+    coeffs = [1] + [0] * (order - 1)
     for n in range(1, order):
-        # multiply by (1 - q^n) in place: coefficient k picks up -c[k-n]
-        for k in range(order - 1, n - 1, -1):
-            base[k] -= base[k - n]
-    product = TruncatedSeries(tuple(base))
-    if exponent < 0:
-        product = series_inv(product)
-    return _series_pow(product, abs(exponent))
+        acc = 0
+        for j, sign in terms:
+            if j > n:
+                break
+            acc += sign * ((exponent + 1) * j - n) * coeffs[n - j]
+        coeffs[n], rem = divmod(acc, n)
+        assert rem == 0, "power recurrence left a remainder"
+    return TruncatedSeries(tuple(coeffs))
 
 
 def yau_zaslow_coefficients(gmax: int) -> list[int]:

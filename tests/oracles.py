@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and shares no code with the
 package: coin-change dynamic programming, plain convolution loops, the
-pentagonal-number sign series, and a straightforward reachability sieve.
+Euler product built factor by factor, the pentagonal-number sign series,
+and a straightforward reachability sieve.
 """
 
 from __future__ import annotations
@@ -43,6 +44,29 @@ def colored_by_convolution(gmax: int, colors: int = 24) -> list[int]:
     acc = [1] + [0] * gmax
     for _ in range(colors):
         acc = convolve(acc, p)
+    return acc
+
+
+def euler_power(exponent: int, order: int) -> list[int]:
+    """prod (1 - q^n)^exponent to ``order`` terms, factor by factor.
+
+    The base is the product of the factors (1 - q^n) for n < order; a
+    negative exponent inverts it by the triangular recurrence, then the
+    result is the |exponent|-fold convolution.
+    """
+    base = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        factor = [1] + [0] * (order - 1)
+        factor[n] = -1
+        base = convolve(base, factor)
+    if exponent < 0:
+        inv = [1] + [0] * (order - 1)
+        for n in range(1, order):
+            inv[n] = -sum(base[k] * inv[n - k] for k in range(1, n + 1))
+        base = inv
+    acc = [1] + [0] * (order - 1)
+    for _ in range(abs(exponent)):
+        acc = convolve(acc, base)
     return acc
 
 

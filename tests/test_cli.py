@@ -1,6 +1,8 @@
 """Command line behaviour: golden text, JSON shape, exit codes."""
 
 import json
+import sys
+from math import comb
 
 import pytest
 
@@ -90,11 +92,33 @@ class TestEg:
         assert code == 2
 
 
+@pytest.fixture
+def default_int_str_limit():
+    """CPython's default int-to-str digit limit for one test, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
 class TestEpsilon:
     def test_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "epsilon", "pq(3,5)")
         assert code == 0
         assert out == "epsilon = 7\nmethod = closed-form\n"
+
+    def test_value_past_int_str_limit(self, capsys, default_int_str_limit):
+        # 4811 digits, past the default limit of 4300
+        code, out, err = run_cli(capsys, "epsilon", "pq(8000,8001)")
+        code_json, out_json, _ = run_cli(capsys, "epsilon", "pq(8000,8001)", "--json")
+        eps = comb(16001, 8000) // 16001
+        assert (code, err) == (0, "")
+        assert out == f"epsilon = {eps}\nmethod = closed-form\n"
+        assert code_json == 0
+        assert json.loads(out_json)["epsilon"] == eps
 
     def test_ade(self, capsys):
         code, out, _ = run_cli(capsys, "epsilon", "A3")

@@ -13,7 +13,12 @@ from k3count.qseries import (
     yau_zaslow_coefficients,
 )
 
-from oracles import colored_partition_counts, partition_numbers, pentagonal_series
+from oracles import (
+    colored_partition_counts,
+    euler_power,
+    partition_numbers,
+    pentagonal_series,
+)
 
 
 def S(*coeffs):
@@ -102,12 +107,20 @@ class TestEulerProduct:
     def test_single_power_matches_pentagonal_numbers(self):
         assert list(euler_product(1, 6).coeffs) == [1, -1, -1, 0, 0, 1]
         assert list(euler_product(1, 40).coeffs) == pentagonal_series(40)
+        # pentagonal_series rests on the same theorem as euler_product, so
+        # also compare with the product of the factors (1 - q^n) themselves
+        assert list(euler_product(1, 60).coeffs) == euler_power(1, 60)
 
     def test_zero_exponent(self):
         assert euler_product(0, 4) == series_one(4)
 
     def test_negative_exponent_counts_partitions(self):
         assert list(euler_product(-1, 6).coeffs) == [1, 1, 2, 3, 5, 7]
+
+    @pytest.mark.parametrize("order", [1, 2, 30, 80])
+    @pytest.mark.parametrize("exponent", [-24, -7, -1, 0, 1, 2, 5, 24])
+    def test_matches_factor_by_factor_oracle(self, exponent, order):
+        assert list(euler_product(exponent, order).coeffs) == euler_power(exponent, order)
 
     @given(
         st.integers(min_value=-6, max_value=6),
@@ -125,7 +138,7 @@ class TestYauZaslowCoefficients:
         assert yau_zaslow_coefficients(3) == [1, 24, 324, 3200]
 
     def test_matches_colored_partition_oracle(self):
-        assert yau_zaslow_coefficients(12) == colored_partition_counts(12)
+        assert yau_zaslow_coefficients(200) == colored_partition_counts(200)
 
     def test_positivity(self):
         assert all(e > 0 for e in yau_zaslow_coefficients(30))
