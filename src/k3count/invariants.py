@@ -11,7 +11,8 @@ its epsilon (``method``) and the independent one that checks it
   coprime: closed form binomial(p+q,p)/(p+q), checked by Delta-set
   enumeration over <p,q>;
 * ``SemigroupPoint``: exhaustive Delta-set enumeration for any value
-  semigroup, checked by the closed form when it has two generators;
+  semigroup, checked by the closed form when it has two minimal
+  generators;
 * ``Ade``: a lookup table for the simple singularities, checked by the
   product over the planar branches each decomposes into;
 * ``MultiBranch``: the product over its branches, checked by verifying
@@ -147,8 +148,8 @@ class SemigroupPoint(Singularity):
         return epsilon_semigroup(self.semigroup)
 
     def verify(self, max_window: int | None = None) -> dict:
-        # two generators of a numerical semigroup are coprime
-        gens = self.semigroup.generators
+        # two minimal generators of a numerical semigroup are coprime
+        gens = self.semigroup.minimal_generators
         if len(gens) == 2:
             return {"method": "closed-form", "value": PlanarPQ(*gens).epsilon}
         return {

@@ -5,17 +5,18 @@ is the genus, its maximum is the Frobenius number, and every larger
 integer is a member.  For the monomial curve singularity with value
 semigroup Gamma, the genus equals the local delta invariant.
 
-The gap set is read off the Apéry set of the smallest generator m: the
-least member of each residue class mod m, found in O(m^2 + m*|gens|)
-steps however large the Frobenius number is.  ``semigroup_from_generators``
+The gap set is read off ``apery``, the Apéry set of the smallest
+generator m: the least member of each residue class mod m, found in
+O(m^2 + m*|gens|) steps however large the Frobenius number is; membership
+and the minimal generators read it too.  ``semigroup_from_generators``
 builds each distinct semigroup once and returns the same immutable
 instance for every later call with the same generator set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from math import gcd
 
 
@@ -36,11 +37,10 @@ def _normalized_generators(gens) -> tuple[int, ...]:
     return tuple(gen_list)
 
 
-def _gap_sieve(gen_list: tuple[int, ...]) -> tuple[int, ...]:
-    # Apéry set of m = gen_list[0]: least[r] is the least member congruent
-    # to r mod m.  Classes are settled in increasing order of their least
-    # member (Dijkstra over the m classes, scanning for the next one), and
-    # the gaps of class r are r, r + m, ..., least[r] - m.
+def _apery(gen_list: tuple[int, ...]) -> tuple[int, ...]:
+    # least[r] is the least member congruent to r mod m = gen_list[0].
+    # Classes are settled in increasing order of their least member
+    # (Dijkstra over the m classes, scanning for the next one).
     m = gen_list[0]
     least = [None] * m
     tentative = {0: 0}
@@ -51,15 +51,25 @@ def _gap_sieve(gen_list: tuple[int, ...]) -> tuple[int, ...]:
             c = (w + g) % m
             if least[c] is None and (c not in tentative or w + g < tentative[c]):
                 tentative[c] = w + g
-    return tuple(sorted(n for r in range(1, m) for n in range(r, least[r], m)))
+    return tuple(least)
+
+
+def gaps_below(least, m: int) -> tuple[int, ...]:
+    """Sorted gaps of the union of w + m*N over ``least``, one w per class mod m."""
+    return tuple(sorted(n for w in least for n in range(w % m, w, m)))
+
+
+def _gap_sieve(gen_list: tuple[int, ...]) -> tuple[int, ...]:
+    return gaps_below(_apery(gen_list), gen_list[0])
 
 
 @dataclass(frozen=True)
 class NumericalSemigroup:
-    """A semigroup held as its generator set plus its full gap set."""
+    """A semigroup held as its generator set, its full gap set and ``apery``."""
 
     generators: tuple[int, ...]
     gap_set: tuple[int, ...]
+    apery: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -67,15 +77,13 @@ class NumericalSemigroup:
         gens = _normalized_generators(self.generators)
         if gens != self.generators:
             raise ValueError("generators must be a sorted set of positive ints")
-        if self.gap_set != _gap_sieve(gens):
+        least = _apery(gens)
+        if self.gap_set != gaps_below(least, gens[0]):
             raise ValueError(
                 f"gap set {list(self.gap_set)} does not match the semigroup "
                 f"generated by {list(gens)}"
             )
-
-    @cached_property
-    def _gap_lookup(self) -> frozenset[int]:
-        return frozenset(self.gap_set)
+        object.__setattr__(self, "apery", least)
 
     @property
     def genus(self) -> int:
@@ -87,8 +95,23 @@ class NumericalSemigroup:
         """Largest gap, or -1 when there is none (the semigroup is all of N)."""
         return self.gap_set[-1] if self.gap_set else -1
 
+    @property
+    def minimal_generators(self) -> tuple[int, ...]:
+        """The least generating set, however the generators were given.
+
+        It holds the smallest generator m and each class minimum w with no
+        generator g < w such that w - g is a member; any other nonzero
+        member is m or such a g plus a nonzero member.
+        """
+        gens = self.generators
+        return (gens[0],) + tuple(sorted(
+            w for w in self.apery[1:]
+            if not any(g < w and w - g in self for g in gens)
+        ))
+
     def __contains__(self, n: int) -> bool:
-        return n >= 0 and n not in self._gap_lookup
+        # a negative n falls below the least member of its class
+        return n >= self.apery[n % len(self.apery)]
 
     def __str__(self) -> str:
         return "⟨" + ",".join(str(g) for g in self.generators) + "⟩"

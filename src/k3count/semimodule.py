@@ -16,15 +16,19 @@ and D is recovered as the union of the arithmetic progressions
 a(s) + p*N over s in S.  Rotating S shifts the sequence a and leaves D
 unchanged, so rotation classes count the sets: binomial(p+q,p)/(p+q)
 exactly, the rotation action being free because gcd(p, p+q) = 1.
+
+A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
+by ``apery``, its least member w in each class mod p; it is closed under
+another generator g exactly when each w + g is a member (Kunz's
+inequality).  Translation shifts these p numbers and keeps closure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import comb, gcd
 
-from .numsg import NumericalSemigroup, semigroup_from_generators
+from .numsg import NumericalSemigroup, gaps_below, semigroup_from_generators
 
 
 class InvalidModuleError(ValueError):
@@ -33,10 +37,11 @@ class InvalidModuleError(ValueError):
 
 @dataclass(frozen=True)
 class GammaModule:
-    """A Delta-set, stored as its finite gap set N minus Delta."""
+    """A Delta-set, stored as its finite gap set N minus Delta and ``apery``."""
 
     semigroup: NumericalSemigroup
     gap_set: tuple[int, ...]
+    apery: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gap_set", tuple(self.gap_set))
@@ -48,39 +53,49 @@ class GammaModule:
                 f"cogenus {len(gaps)} differs from the semigroup genus "
                 f"{self.semigroup.genus}"
             )
-        _check_closure(set(gaps), self.semigroup)
-
-    @cached_property
-    def _gap_lookup(self) -> frozenset[int]:
-        return frozenset(self.gap_set)
+        p, *others = self.semigroup.generators
+        least = _class_minima(gaps, p)
+        for w in least:
+            for g in others:
+                if w + g < least[(w + g) % p]:
+                    raise InvalidModuleError(
+                        f"not closed: {w} is a member but {w} + {g} is a gap"
+                    )
+        object.__setattr__(self, "apery", tuple(least))
 
     @property
     def min_element(self) -> int:
         """Smallest member of Delta; at most genus, since all below are gaps."""
-        n = 0
-        while n in self._gap_lookup:
-            n += 1
-        return n
+        return min(self.apery)
 
     def __contains__(self, n: int) -> bool:
-        return n >= 0 and n not in self._gap_lookup
+        # a negative n falls below the least member of its class
+        return n >= self.apery[n % len(self.apery)]
 
     def __str__(self) -> str:
         return "gaps={" + ",".join(str(g) for g in self.gap_set) + "}"
 
 
-def _check_closure(gaps: set[int], s: NumericalSemigroup) -> None:
-    # Members beyond the largest gap stay members after adding a generator,
-    # so checking d + generator for members d up to that gap is complete.
-    top = max(gaps) if gaps else -1
-    for d in range(top + 1):
-        if d in gaps:
-            continue
-        for g in s.generators:
-            if d + g <= top and (d + g) in gaps:
-                raise InvalidModuleError(
-                    f"not closed: {d} is a member but {d} + {g} is a gap"
-                )
+def _class_minima(gaps, p: int) -> list[int]:
+    """Least member of N minus sorted ``gaps`` in each residue class mod p.
+
+    With w the largest gap of a class plus p (its residue if none), the class
+    has at most w // p gaps, and exactly that many iff it is closed under +p.
+    """
+    least = list(range(p))
+    for g in gaps:
+        least[g % p] = g + p
+    if len(gaps) != sum(w // p for w in least):
+        raise InvalidModuleError(f"not closed under adding {p}")
+    return least
+
+
+def _translate(least, p: int, s: NumericalSemigroup) -> GammaModule:
+    # The class of w holds w // p gaps.  A closed set holds w0 + Gamma, w0
+    # its least member, so it has at most w0 + genus gaps and no w - shift
+    # is negative; an open one fails the module's own checks.
+    shift = sum(w // p for w in least) - s.genus
+    return GammaModule(s, gaps_below([w - shift for w in least], p))
 
 
 def normalize_translate(gaps_of_raw_delta, s: NumericalSemigroup) -> GammaModule:
@@ -93,18 +108,8 @@ def normalize_translate(gaps_of_raw_delta, s: NumericalSemigroup) -> GammaModule
     gaps = sorted({int(g) for g in gaps_of_raw_delta})
     if gaps and gaps[0] < 0:
         raise ValueError("gap values must be non-negative")
-    _check_closure(set(gaps), s)
-    shift = len(gaps) - s.genus
-    if shift >= 0:
-        # moving left by `shift`: the positions below it must all be gaps
-        if set(range(shift)) - set(gaps):
-            raise InvalidModuleError(
-                "cannot reach the required cogenus by translation"
-            )
-        new_gaps = tuple(g - shift for g in gaps if g >= shift)
-    else:
-        new_gaps = tuple(range(-shift)) + tuple(g - shift for g in gaps)
-    return GammaModule(s, new_gaps)
+    p = s.generators[0]
+    return _translate(_class_minima(gaps, p), p, s)
 
 
 def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
@@ -152,21 +157,7 @@ def minimal_generators(m: GammaModule) -> tuple[int, ...]:
     of Gamma is g plus a member, and Delta is closed under adding those.
     """
     gens = m.semigroup.generators
-    gaps = set(m.gap_set)
-    return tuple(sorted(
-        w for w in _least_members(gaps, gens[0])
-        if all(w - g < 0 or w - g in gaps for g in gens)
-    ))
-
-
-def _least_members(gaps: set[int], step: int) -> list[int]:
-    """Least member of Delta in each residue class 0..step-1 mod step."""
-    least = []
-    for v in range(step):
-        while v in gaps:
-            v += step
-        least.append(v)
-    return least
+    return tuple(sorted(w for w in m.apery if all(w - g not in m for g in gens)))
 
 
 def count_necklaces(p: int, q: int) -> int:
@@ -238,10 +229,11 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     """Run the offset recurrence on a p-subset of {1..p+q} and read off Delta.
 
     The start value p*q keeps every intermediate offset non-negative (at
-    most q downward steps of size p can precede anything).  The resulting
-    union of progressions is translated to the unique cogenus-correct
-    representative, so any rotation of the same subset lands on the same
-    module.
+    most q downward steps of size p can precede anything).  The offsets
+    a(s), s in the subset, fill each class mod p once, so they are the
+    least members of the union of progressions; translating them gives
+    the unique cogenus-correct representative, so any rotation of the
+    same subset lands on the same module.
     """
     require_coprime(p, q)
     chosen = sorted({int(i) for i in members})
@@ -257,8 +249,7 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
         a[i + 1] = a[i] + q if i in in_s else a[i] - p
     starts = [a[s] for s in chosen]
     assert min(a[1:]) >= 0 and len({v % p for v in starts}) == p
-    raw_gaps = [g for v in starts for g in range(v % p, v, p)]
-    return normalize_translate(raw_gaps, semigroup_from_generators((p, q)))
+    return _translate(starts, p, semigroup_from_generators((p, q)))
 
 
 def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
@@ -276,9 +267,8 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
         raise ValueError(
             f"module lives over {m.semigroup}, not over {gamma}"
         )
-    gaps = set(m.gap_set)
-    p_offsets = _least_members(gaps, p)
-    q_offsets = [v + p for v in _least_members(gaps, q)]
+    p_offsets = _class_minima(m.gap_set, p)
+    q_offsets = [v + p for v in _class_minima(m.gap_set, q)]
     values = p_offsets + q_offsets
     value_set = set(values)
     assert len(value_set) == p + q

@@ -3,7 +3,7 @@
 Everything here is deliberately naive and shares no code with the
 package: coin-change dynamic programming, plain convolution loops, the
 Euler product built factor by factor, the pentagonal-number sign series,
-and a straightforward reachability sieve.
+a straightforward reachability sieve and member-by-member scans.
 """
 
 from __future__ import annotations
@@ -139,4 +139,17 @@ def scan_minimal_generators(semigroup_gaps, module_gaps) -> tuple[int, ...]:
         for d in range(top + least + 1)
         if d not in gaps
         and not any(g not in s_gaps and (d - g) not in gaps for g in range(1, d + 1))
+    )
+
+
+def scan_closure(gens, module_gaps) -> bool:
+    """Whether N minus ``module_gaps`` is closed under adding each generator.
+
+    Members beyond the largest gap stay members after adding a generator,
+    so checking d + g for the members d up to that gap is complete.
+    """
+    gaps = set(module_gaps)
+    top = max(gaps, default=-1)
+    return not any(
+        d + g in gaps for d in range(top + 1) if d not in gaps for g in gens
     )

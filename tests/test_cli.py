@@ -159,6 +159,14 @@ class TestEpsilon:
             {"skipped": True, "reason": "enumeration window 11 exceeds max-window 5"},
         )
 
+    @pytest.mark.parametrize("token,eps", [("sg(2,4,5)", 3), ("sg(3,5,10)", 7)])
+    def test_verify_semigroup_typed_with_redundant_generators(self, capsys, token, eps):
+        # <2,4,5> = <2,5> and <3,5,10> = <3,5> have closed forms
+        assert_verify_output(
+            capsys, ("epsilon", token, "--verify"), eps, "enumeration",
+            {"method": "closed-form", "value": eps, "agrees": True},
+        )
+
     def test_verify_skipped_for_wide_semigroup(self, capsys):
         assert_verify_output(
             capsys, ("epsilon", "sg(4,6,9)", "--verify"), 17, "enumeration",

@@ -313,6 +313,18 @@ class TestDescriptorContract:
         assert result["value"] == sing.epsilon
         assert result["method"] != sing.method
 
+    @pytest.mark.parametrize("typed,minimal", [
+        ((2, 4, 5), (2, 5)),
+        ((3, 5, 10), (3, 5)),
+        ((1, 2), (1,)),
+        ((4, 6, 9, 12), (4, 6, 9)),
+    ])
+    def test_semigroup_verify_depends_on_the_semigroup_only(self, typed, minimal):
+        point = SemigroupPoint(semigroup_from_generators(typed))
+        same = SemigroupPoint(semigroup_from_generators(minimal))
+        assert point.verify() == same.verify()
+        assert str(point) == "sg(" + ",".join(map(str, typed)) + ")"
+
     def test_window_skip_names_the_window(self):
         assert PlanarPQ(3, 5).verify(max_window=5) == {
             "skipped": True,

@@ -126,6 +126,40 @@ class TestClassicalFacts:
         assert s.gap_set == reachability_gap_sieve(gens)
 
 
+class TestAperyForm:
+    @given(generator_sets())
+    @example([1])
+    @example([4, 6, 9])
+    def test_apery_is_the_least_member_of_each_class(self, gens):
+        s = semigroup_from_generators(gens)
+        m = min(gens)
+        members = naive_members(gens, s.frobenius + m)
+        assert s.apery == tuple(
+            min(n for n in members if n % m == r) for r in range(m)
+        )
+        window = range(-m, s.frobenius + m + 1)
+        assert [n in s for n in window] == [n in members for n in window]
+
+    @given(generator_sets())
+    @example([1, 2])
+    @example([2, 4, 5])
+    @example([3, 5, 10])
+    @example([4, 5, 8, 9])
+    def test_minimal_generators_are_the_irreducible_members(self, gens):
+        s = semigroup_from_generators(gens)
+        nonzero = naive_members(gens, max(gens)) - {0}
+        irreducible = sorted(
+            n for n in nonzero if not any(n - a in nonzero for a in nonzero)
+        )
+        assert s.minimal_generators == tuple(irreducible)
+        assert semigroup_from_generators(irreducible).gap_set == s.gap_set
+
+    def test_minimal_generators_drop_redundant_ones(self):
+        assert semigroup_from_generators({2, 4, 5}).minimal_generators == (2, 5)
+        assert semigroup_from_generators({3, 5, 10}).minimal_generators == (3, 5)
+        assert semigroup_from_generators({1, 2}).minimal_generators == (1,)
+
+
 class TestClosureProperties:
     @given(generator_sets())
     def test_members_closed_under_addition(self, gens):

@@ -20,7 +20,7 @@ from k3count.semimodule import (
     normalize_translate,
 )
 
-from oracles import scan_minimal_generators
+from oracles import scan_closure, scan_minimal_generators
 
 SMALL_PAIRS = [
     (p, q)
@@ -28,6 +28,8 @@ SMALL_PAIRS = [
     for q in range(p + 1, 12)
     if p + q <= 12 and gcd(p, q) == 1
 ]
+# p > q: the bijection's p is then not the smallest generator of <p,q>
+BIJECTION_PAIRS = SMALL_PAIRS + [(3, 2), (5, 2), (5, 3), (7, 4)]
 
 
 def rotated(members, shift, n):
@@ -84,6 +86,56 @@ class TestEnumerateDeltaSets:
                 GammaModule(s, m.gap_set)  # closure and cogenus re-checked
 
 
+class TestClosureCheck:
+    @pytest.mark.parametrize("gens", [
+        (1,), (2, 3), (2, 5), (3, 4), (3, 5), (3, 4, 5), (4, 5, 6, 7),
+    ], ids=lambda gens: ",".join(map(str, gens)))
+    def test_matches_the_member_scan(self, gens):
+        s = semigroup_from_generators(gens)
+        accepted = set()
+        for gaps in combinations(range(s.frobenius + s.genus + 3), s.genus):
+            try:
+                GammaModule(s, gaps)
+            except InvalidModuleError:
+                assert not scan_closure(gens, gaps), gaps
+            else:
+                assert scan_closure(gens, gaps), gaps
+                accepted.add(gaps)
+        assert accepted == {m.gap_set for m in enumerate_delta_sets(s)}
+
+    def test_open_only_under_the_smallest_generator(self):
+        s = semigroup_from_generators({3, 5})
+        gaps = (0, 1, 2, 6)  # 3 is a member, 3 + 3 a gap
+        assert scan_closure((5,), gaps) and not scan_closure((3,), gaps)
+        with pytest.raises(InvalidModuleError, match="adding 3"):
+            GammaModule(s, gaps)
+
+    def test_open_only_under_another_generator(self):
+        s = semigroup_from_generators({3, 5})
+        gaps = (0, 3, 6, 9)  # 1 is a member, 1 + 5 a gap
+        assert scan_closure((3,), gaps) and not scan_closure((5,), gaps)
+        with pytest.raises(InvalidModuleError, match=r"1 \+ 5"):
+            GammaModule(s, gaps)
+
+
+class TestAperyForm:
+    @pytest.mark.parametrize("gens", [*SMALL_PAIRS, (4, 6, 9)],
+                             ids=lambda gens: ",".join(map(str, gens)))
+    def test_class_minima_and_membership(self, gens):
+        s = semigroup_from_generators(gens)
+        p = s.generators[0]
+        for m in enumerate_delta_sets(s):
+            gaps = set(m.gap_set)
+            window = range(max(gaps, default=-1) + p + 1)
+            members = [n for n in window if n not in gaps]
+            assert m.apery == tuple(
+                min(n for n in members if n % p == r) for r in range(p)
+            )
+            assert [n in m for n in window] == [n not in gaps for n in window]
+            assert -1 not in m
+            assert m.min_element == min(m.apery)
+
+
 class TestNormalizeTranslate:
     def test_all_of_n_over_two_three(self):
         s = semigroup_from_generators({2, 3})
@@ -103,6 +155,11 @@ class TestNormalizeTranslate:
         s = semigroup_from_generators({2, 3})
         with pytest.raises(InvalidModuleError):
             normalize_translate({2}, s)  # 0 in Delta but 0 + 2 is a gap
+
+    def test_open_set_needing_negative_positions_is_rejected(self):
+        s = semigroup_from_generators({2, 3})
+        with pytest.raises(InvalidModuleError):
+            normalize_translate({1, 3}, s)  # 0 in Delta but 0 + 3 is a gap
 
     def test_translation_uniqueness(self):
         # shifting a normalized module by any n >= 1 breaks the cogenus
@@ -175,7 +232,7 @@ class TestCountNecklaces:
             count_necklaces(4, 6)
 
     def test_matches_direct_orbit_count(self):
-        for p, q in SMALL_PAIRS:
+        for p, q in BIJECTION_PAIRS:
             n = p + q
             orbits = {
                 min(
@@ -196,7 +253,7 @@ class TestNecklaceToDelta:
         assert necklace_to_delta({1, 3}, 2, 3).gap_set == (0,)
 
     def test_rotation_leaves_the_module_unchanged(self):
-        for p, q in SMALL_PAIRS:
+        for p, q in BIJECTION_PAIRS:
             n = p + q
             for S in combinations(range(1, n + 1), p):
                 base = necklace_to_delta(S, p, q).gap_set
@@ -217,7 +274,7 @@ class TestNecklaceToDelta:
 
 class TestDeltaToNecklace:
     def test_roundtrip_on_every_module(self):
-        for p, q in SMALL_PAIRS:
+        for p, q in BIJECTION_PAIRS:
             s = semigroup_from_generators({p, q})
             profiles = set()
             for m in enumerate_delta_sets(s):
@@ -228,7 +285,7 @@ class TestDeltaToNecklace:
             assert len(profiles) == count_necklaces(p, q)
 
     def test_reverse_roundtrip_on_every_subset(self):
-        for p, q in SMALL_PAIRS:
+        for p, q in BIJECTION_PAIRS:
             n = p + q
             for S in combinations(range(1, n + 1), p):
                 module = necklace_to_delta(S, p, q)
@@ -248,7 +305,7 @@ class TestDeltaToNecklace:
     def test_offset_identity_as_multisets(self):
         # every offset reappears shifted by +q from a member position or
         # by -p from a non-member position
-        for p, q in SMALL_PAIRS:
+        for p, q in BIJECTION_PAIRS:
             s = semigroup_from_generators({p, q})
             for m in enumerate_delta_sets(s):
                 prof = delta_to_necklace(m, p, q)
