@@ -148,8 +148,11 @@ class SemigroupPoint(Singularity):
         return epsilon_semigroup(self.semigroup)
 
     def verify(self, max_window: int | None = None) -> dict:
-        # two minimal generators of a numerical semigroup are coprime
+        # two minimal generators of a numerical semigroup are coprime, and
+        # <1> is the smooth point pq(1,1)
         gens = self.semigroup.minimal_generators
+        if gens == (1,):
+            gens = (1, 1)
         if len(gens) == 2:
             return {"method": "closed-form", "value": PlanarPQ(*gens).epsilon}
         return {

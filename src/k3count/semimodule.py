@@ -26,9 +26,11 @@ inequality).  Translation shifts these p numbers and keeps closure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 from math import comb, gcd
+from operator import add
 
-from .numsg import NumericalSemigroup, gaps_below, semigroup_from_generators
+from .numsg import NumericalSemigroup, _semigroup, gaps_below
 
 
 class InvalidModuleError(ValueError):
@@ -176,6 +178,13 @@ def require_coprime(p: int, q: int) -> None:
         raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
 
 
+def _pq_semigroup(p: int, q: int) -> NumericalSemigroup:
+    # require_coprime makes every check semigroup_from_generators would
+    # repeat, so the shared instance is read straight from numsg's memo
+    require_coprime(p, q)
+    return _semigroup((p, q) if p < q else (q, p) if q < p else (p,))
+
+
 @dataclass(frozen=True)
 class NecklaceProfile:
     """A rotation class of p-subsets of {1..p+q} with its offset sequence.
@@ -194,35 +203,61 @@ class NecklaceProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "a_seq", tuple(self.a_seq))
-        require_coprime(self.p, self.q)
-        n = self.p + self.q
-        if len(self.members) != self.p:
-            raise ValueError(f"member set must have exactly {self.p} elements")
-        if list(self.members) != sorted(set(self.members)):
+        p, q, members, a_seq = self.p, self.q, self.members, self.a_seq
+        require_coprime(p, q)
+        n = p + q
+        if len(members) != p:
+            raise ValueError(f"member set must have exactly {p} elements")
+        if list(members) != sorted(set(members)):
             raise ValueError("members must be sorted and distinct")
-        if self.members and not (1 <= self.members[0] and self.members[-1] <= n):
+        if members and not (1 <= members[0] and members[-1] <= n):
             raise ValueError(f"members must lie in 1..{n}")
-        if _least_rotation(_word(self.members, n)) != 0:
+        word = _word(members, n)
+        if _least_rotation(word) != 0:
             raise ValueError("members must be the least rotation of the class")
-        if len(self.a_seq) != n:
+        if len(a_seq) != n:
             raise ValueError(f"a_seq must have length {n}")
-        if len(set(self.a_seq)) != n or min(self.a_seq) < 0:
+        if len(set(a_seq)) != n or min(a_seq) < 0:
             raise ValueError("a_seq values must be distinct non-negative ints")
-        in_s = set(self.members)
-        for i in range(1, n + 1):
-            step = self.q if i in in_s else -self.p
-            if self.a_seq[i % n] != self.a_seq[i - 1] + step:
-                raise ValueError(f"offset recurrence fails at position {i}")
+        # a(i) + step(i), position i = 1..n, against a(i+1) read cyclically
+        stepped = list(map(add, a_seq, map((-p, q).__getitem__, word)))
+        if stepped != list(a_seq[1:] + a_seq[:1]):
+            i = next(i for i in range(1, n + 1) if stepped[i - 1] != a_seq[i % n])
+            raise ValueError(f"offset recurrence fails at position {i}")
 
 
-def _word(members, n: int) -> tuple[int, ...]:
-    in_s = set(members)
-    return tuple(1 if i + 1 in in_s else 0 for i in range(n))
+def _word(members, n: int) -> bytes:
+    """Characteristic word of a subset of {1..n}: byte i-1 is 1 iff i is in it."""
+    word = bytearray(n)
+    for i in members:
+        word[i - 1] = 1
+    return bytes(word)
 
 
-def _least_rotation(word: tuple[int, ...]) -> int:
-    """First start index of the lexicographically least rotation of ``word``."""
-    return min(range(len(word)), key=lambda i: word[i:] + word[:i])
+def _least_rotation(word: bytes) -> int:
+    """First start index of the lexicographically least rotation of ``word``.
+
+    ``word`` is a 0/1 bytes string.  If it has both letters, its least
+    rotation begins with 0, and at the start of a maximal (cyclic) run of
+    0s: when the letter before j is 0 too, the rotation from j reads
+    0^k 1 ... for some k >= 1, and the one from j - 1 reads 0^(k+1) ...,
+    which is smaller.  So only the run starts, the positions just after
+    each cyclic "10", are compared; there are as many as runs of 1s, at
+    most min(#0, #1).  Each rotation is a slice of the doubled word, and
+    the starts are tried in increasing order, so ties (periodic words)
+    keep the first.  A word with a single letter returns 0.
+    """
+    n = len(word)
+    doubled = word + word
+    starts = []
+    # a "10" at j in n-1..2n-2 puts a run start at j + 1 - n in 0..n-1
+    j = doubled.find(b"\x01\x00", n - 1, 2 * n)
+    while j >= 0:
+        starts.append(j + 1 - n)
+        j = doubled.find(b"\x01\x00", j + 2, 2 * n)
+    if not starts:
+        return 0
+    return min(starts, key=lambda i: doubled[i:i + n])
 
 
 def necklace_to_delta(members, p: int, q: int) -> GammaModule:
@@ -235,21 +270,19 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     the unique cogenus-correct representative, so any rotation of the
     same subset lands on the same module.
     """
-    require_coprime(p, q)
+    gamma = _pq_semigroup(p, q)
     chosen = sorted({int(i) for i in members})
     n = p + q
     if len(chosen) != p:
         raise ValueError(f"need exactly {p} members, got {len(chosen)}")
     if chosen and not (1 <= chosen[0] and chosen[-1] <= n):
         raise ValueError(f"members must lie in 1..{n}")
-    in_s = set(chosen)
-    a = [0] * (n + 1)
-    a[1] = p * q
-    for i in range(1, n):
-        a[i + 1] = a[i] + q if i in in_s else a[i] - p
-    starts = [a[s] for s in chosen]
-    assert min(a[1:]) >= 0 and len({v % p for v in starts}) == p
-    return _translate(starts, p, semigroup_from_generators((p, q)))
+    # a(1..n): a(1) = p*q, then +q after a member position, -p elsewhere
+    steps = map((-p, q).__getitem__, _word(chosen, n)[:-1])
+    a = list(accumulate(steps, initial=p * q))
+    starts = [a[s - 1] for s in chosen]
+    assert min(a) >= 0 and len({v % p for v in starts}) == p
+    return _translate(starts, p, gamma)
 
 
 def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
@@ -261,9 +294,8 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     traverses them in a single cycle; the positions of first-group visits
     along that cycle are the subset, read in its least rotation.
     """
-    require_coprime(p, q)
-    gamma = semigroup_from_generators((p, q))
-    if m.semigroup.gap_set != gamma.gap_set:
+    gamma = _pq_semigroup(p, q)
+    if m.semigroup is not gamma and m.semigroup.gap_set != gamma.gap_set:
         raise ValueError(
             f"module lives over {m.semigroup}, not over {gamma}"
         )
@@ -271,20 +303,18 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     q_offsets = [v + p for v in _class_minima(m.gap_set, q)]
     values = p_offsets + q_offsets
     value_set = set(values)
-    assert len(value_set) == p + q
+    n = p + q
+    assert len(value_set) == n
     p_set = set(p_offsets)
 
-    walk = [values[0]]
-    for _ in range(p + q - 1):
-        v = walk[-1]
-        nxt = v + q if v in p_set else v - p
-        assert nxt in value_set
-        walk.append(nxt)
-    n = p + q
-    assert len(set(walk)) == n  # the successor map is a single (p+q)-cycle
-    word = tuple(1 if v in p_set else 0 for v in walk)
+    v = values[0]
+    walk = [v]
+    for _ in range(n - 1):
+        v = v + q if v in p_set else v - p
+        walk.append(v)
+    # the successor map is a single (p+q)-cycle through the offsets
+    assert set(walk) == value_set
+    word = bytes(map(p_set.__contains__, walk))
     start = _least_rotation(word)
-    canon = word[start:] + word[:start]
-    members = tuple(i + 1 for i, bit in enumerate(canon) if bit)
-    a_seq = tuple(walk[(i + start) % n] for i in range(n))
-    return NecklaceProfile(p, q, members, a_seq)
+    members = tuple(compress(range(1, n + 1), word[start:] + word[:start]))
+    return NecklaceProfile(p, q, members, walk[start:] + walk[:start])

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code with the
 package: coin-change dynamic programming, plain convolution loops, the
 Euler product built factor by factor, the pentagonal-number sign series,
-a straightforward reachability sieve and member-by-member scans.
+a straightforward reachability sieve, member-by-member scans and a
+least rotation found by trying every start.
 """
 
 from __future__ import annotations
@@ -153,3 +154,9 @@ def scan_closure(gens, module_gaps) -> bool:
     return not any(
         d + g in gaps for d in range(top + 1) if d not in gaps for g in gens
     )
+
+
+def least_rotation_start(word) -> int:
+    """First start of the least rotation of ``word``, trying all n starts."""
+    n = len(word)
+    return min(range(n), key=lambda i: word[i:] + word[:i])

@@ -167,6 +167,14 @@ class TestEpsilon:
             {"method": "closed-form", "value": eps, "agrees": True},
         )
 
+    @pytest.mark.parametrize("token", ["sg(1)", "sg(1,2)", "sg(1,5)"])
+    def test_verify_smooth_semigroup_against_closed_form(self, capsys, token):
+        # <1> is the smooth point, whose closed form is pq(1,1) = 1
+        assert_verify_output(
+            capsys, ("epsilon", token, "--verify"), 1, "enumeration",
+            {"method": "closed-form", "value": 1, "agrees": True},
+        )
+
     def test_verify_skipped_for_wide_semigroup(self, capsys):
         assert_verify_output(
             capsys, ("epsilon", "sg(4,6,9)", "--verify"), 17, "enumeration",

@@ -306,7 +306,7 @@ class TestDescriptorContract:
         methods = {cls.method for cls in Singularity.__subclasses__()}
         assert methods == {"closed-form", "ade-table", "enumeration", "branch-product"}
 
-    @pytest.mark.parametrize("token", ["pq(3,5)", "sg(4,5)", "E7", "D9", "branches[A2;node]"])
+    @pytest.mark.parametrize("token", ["pq(3,5)", "sg(4,5)", "sg(1)", "E7", "D9", "branches[A2;node]"])
     def test_verify_agrees_with_epsilon(self, token):
         sing = parse_singularity(token)
         result = sing.verify()

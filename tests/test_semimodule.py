@@ -1,7 +1,7 @@
 """Delta-set enumeration and the necklace bijection, both directions."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -12,6 +12,7 @@ from k3count.semimodule import (
     GammaModule,
     InvalidModuleError,
     NecklaceProfile,
+    _least_rotation,
     count_necklaces,
     delta_to_necklace,
     enumerate_delta_sets,
@@ -20,7 +21,7 @@ from k3count.semimodule import (
     normalize_translate,
 )
 
-from oracles import scan_closure, scan_minimal_generators
+from oracles import least_rotation_start, scan_closure, scan_minimal_generators
 
 SMALL_PAIRS = [
     (p, q)
@@ -335,9 +336,42 @@ class TestDeltaToNecklace:
                 assert covered == {n for n in range(top + p + 1) if n in m}
 
 
+class TestLeastRotation:
+    def test_every_short_binary_word(self):
+        for n in range(1, 13):
+            for letters in product((0, 1), repeat=n):
+                word = bytes(letters)
+                assert _least_rotation(word) == least_rotation_start(word), word
+
+    @given(st.one_of(
+        st.lists(st.integers(0, 1), min_size=1, max_size=40).map(bytes),
+        st.builds(lambda bit, n: bytes([bit]) * n, st.integers(0, 1), st.integers(1, 40)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_trying_every_start(self, word):
+        assert _least_rotation(word) == least_rotation_start(word)
+
+
+# includes p > q, where p is not the smallest generator of <p,q>
+PROFILE_PAIRS = [(2, 3), (3, 5), (5, 2)]
+
+
+def profile_read_from(p, q, r):
+    """Members and a_seq of a valid class of (p, q), read from start r.
+
+    The recurrence still holds cyclically, so for r != 0 only the
+    least-rotation check can reject the result.
+    """
+    n = p + q
+    prof = delta_to_necklace(necklace_to_delta(range(1, p + 1), p, q), p, q)
+    word = [1 if i in prof.members else 0 for i in range(1, n + 1)]
+    members = tuple(i + 1 for i, bit in enumerate(word[r:] + word[:r]) if bit)
+    return members, prof.a_seq[r:] + prof.a_seq[:r]
+
+
 class TestNecklaceProfile:
     def test_wrong_member_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly 2 elements"):
             NecklaceProfile(2, 3, (1,), (6, 9, 12, 10, 8))
 
     def test_non_canonical_rotation_rejected(self):
@@ -346,7 +380,7 @@ class TestNecklaceProfile:
         )
         n = 5
         shifted_members = tuple(sorted((m - 1 + 1) % n + 1 for m in prof.members))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="least rotation"):
             NecklaceProfile(2, 3, shifted_members, prof.a_seq)
 
     def test_recurrence_violation_rejected(self):
@@ -357,6 +391,37 @@ class TestNecklaceProfile:
         broken[2] += 1
         with pytest.raises(ValueError):
             NecklaceProfile(2, 3, prof.members, tuple(broken))
+
+    @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
+    def test_only_the_least_rotation_check_rejects_other_rotations(self, p, q):
+        NecklaceProfile(p, q, *profile_read_from(p, q, 0))
+        for r in range(1, p + q):
+            members, a_seq = profile_read_from(p, q, r)
+            with pytest.raises(ValueError, match="least rotation"):
+                NecklaceProfile(p, q, members, a_seq)
+
+    @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
+    def test_duplicate_offset_rejected(self, p, q):
+        members, a_seq = profile_read_from(p, q, 0)
+        duplicated = (a_seq[0],) + a_seq[:-1]
+        with pytest.raises(ValueError, match="distinct non-negative"):
+            NecklaceProfile(p, q, members, duplicated)
+
+    @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
+    def test_negative_offset_rejected(self, p, q):
+        # a translate keeps the recurrence and distinctness
+        members, a_seq = profile_read_from(p, q, 0)
+        lowered = tuple(v - min(a_seq) - 1 for v in a_seq)
+        with pytest.raises(ValueError, match="distinct non-negative"):
+            NecklaceProfile(p, q, members, lowered)
+
+    @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
+    def test_broken_recurrence_names_the_first_failing_position(self, p, q):
+        # swapping a(3) and a(4) keeps the values; a(3) = a(2) + step fails first
+        members, a_seq = profile_read_from(p, q, 0)
+        swapped = a_seq[:2] + (a_seq[3], a_seq[2]) + a_seq[4:]
+        with pytest.raises(ValueError, match="fails at position 2$"):
+            NecklaceProfile(p, q, members, swapped)
 
 
 small_semigroups = st.sampled_from(
