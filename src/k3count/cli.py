@@ -3,7 +3,8 @@
 Exit codes: 0 for success (including a matching ``check``), 1 for domain
 errors such as non-coprime inputs, 2 for usage and parse errors (a curve
 file that cannot be opened or is not UTF-8 included), 3 for a ``check``
-that ran but did not match.
+that ran but did not match.  Each subcommand returns its exit code, its JSON
+record and its text lines (formatted only when iterated); ``main`` prints.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import sys
 
 from .invariants import (
     CurveSpecError,
+    _int_values,
     check_genus_sum,
-    format_singularity,
     parse_curve,
     parse_curve_file,
     parse_singularity,
@@ -94,114 +95,83 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _cmd_eg(args) -> int:
+def _cmd_eg(args) -> tuple:
     coeffs = yau_zaslow_coefficients(args.gmax)
-    if args.json:
-        _print_json([{"g": g, "e": e} for g, e in enumerate(coeffs)])
-    else:
-        for g, e in enumerate(coeffs):
-            print(f"{g}\t{e}")
-    return 0
+    record = [{"g": g, "e": e} for g, e in enumerate(coeffs)]
+    return 0, record, (f"{g}\t{e}" for g, e in enumerate(coeffs))
 
 
-def _cmd_epsilon(args) -> int:
+def _cmd_epsilon(args) -> tuple:
     sing = parse_singularity(args.token)
     eps = sing.epsilon
-    verify = sing.verify(args.max_window) if args.verify else None
-    agrees = None
-    if verify is not None and not verify.get("skipped"):
-        agrees = verify["value"] == eps
-        verify["agrees"] = agrees
-    if args.json:
-        payload = {"token": format_singularity(sing), "epsilon": eps, "method": sing.method}
-        if verify is not None:
-            payload["verify"] = verify
-        _print_json(payload)
-    else:
-        print(f"epsilon = {eps}")
-        print(f"method = {sing.method}")
-        if verify is not None:
-            if verify.get("skipped"):
-                print(f"verified = skipped ({verify['reason']})")
-            else:
-                print(f"verify-method = {verify['method']}")
-                print(f"verify-value = {verify['value']}")
-                print(f"verified = {'true' if agrees else 'false'}")
-    return 1 if agrees is False else 0
+    record = {"token": str(sing), "epsilon": eps, "method": sing.method}
+    text = [("epsilon", eps), ("method", sing.method)]
+    code = 0
+    if args.verify:
+        verify = record["verify"] = sing.verify(args.max_window)
+        if verify.get("skipped"):
+            text.append(("verified", f"skipped ({verify['reason']})"))
+        else:
+            agrees = verify["agrees"] = verify["value"] == eps
+            code = 0 if agrees else 1
+            text += [("verify-method", verify["method"]), ("verify-value", verify["value"])]
+            text.append(("verified", json.dumps(agrees)))
+    return code, record, (f"{key} = {value}" for key, value in text)
 
 
-def _cmd_modules(args) -> int:
+def _cmd_modules(args) -> tuple:
     try:
-        gens = [int(piece) for piece in args.generators.split(",")]
-    except ValueError:
+        gens = _int_values(args.generators, args.generators)
+    except CurveSpecError:
         raise CurveSpecError(
             f"expected comma-separated integers, got {args.generators!r}"
-        )
-    s = semigroup_from_generators(gens)
-    modules = enumerate_delta_sets(s)
-    rows = [(m.gap_set, minimal_generators(m)) for m in modules]
-    if args.json:
-        _print_json([{"gaps": list(g), "generators": list(mg)} for g, mg in rows])
-    else:
-        for gaps, mingens in rows:
-            gap_text = ",".join(str(x) for x in gaps)
-            gen_text = ",".join(str(x) for x in mingens)
-            print(f"gaps={{{gap_text}}} gens={{{gen_text}}}")
-        print(f"count={len(rows)}")
-    return 0
+        ) from None
+    modules = enumerate_delta_sets(semigroup_from_generators(gens))
+    rows = [(m, minimal_generators(m)) for m in modules]
+    record = [{"gaps": list(m.gap_set), "generators": list(g)} for m, g in rows]
+
+    def lines():
+        for m, mingens in rows:
+            yield f"{m} gens={{{','.join(map(str, mingens))}}}"
+        yield f"count={len(rows)}"
+
+    return 0, record, lines()
 
 
-def _cmd_multiplicity(args) -> int:
+def _cmd_multiplicity(args) -> tuple:
     curve = parse_curve(args.curve)
-    if args.json:
-        _print_json(
-            {
-                "singularities": [
-                    {"token": format_singularity(s), "epsilon": s.epsilon}
-                    for s in curve.singularities
-                ],
-                "multiplicity": curve.multiplicity,
-            }
-        )
-    else:
-        for s in curve.singularities:
-            print(f"{format_singularity(s)}: epsilon = {s.epsilon}")
-        print(f"multiplicity = {curve.multiplicity}")
-    return 0
+    points = [{"token": str(s), "epsilon": s.epsilon} for s in curve.singularities]
+    record = {"singularities": points, "multiplicity": curve.multiplicity}
+    text = [(f"{p['token']}: epsilon", p["epsilon"]) for p in points]
+    text.append(("multiplicity", curve.multiplicity))
+    return 0, record, (f"{key} = {value}" for key, value in text)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     with open(args.file, encoding="utf-8") as handle:
         curves = parse_curve_file(handle.read())
     report = check_genus_sum(curves, args.g)
-    if args.json:
-        _print_json(
-            {
-                "curves": len(curves),
-                "sum": report.sum,
-                "expected": report.expected,
-                "equal": report.equal,
-            }
-        )
-    else:
-        print(f"curves = {len(curves)}")
-        print(f"sum = {report.sum}")
-        print(f"expected = {report.expected}")
-        print(f"equal = {'true' if report.equal else 'false'}")
-    return 0 if report.equal else 3
+    record = {
+        "curves": len(curves),
+        "sum": report.sum,
+        "expected": report.expected,
+        "equal": report.equal,
+    }
+    # each text line is a key and its JSON value: digits, true or false
+    lines = (f"{key} = {json.dumps(value)}" for key, value in record.items())
+    return (0 if report.equal else 3), record, lines
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact values may run past 4300 digits
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, record, lines = args.func(args)
+        # rendering stays inside the try: a failed write to stdout, such as
+        # a closed pipe, is an OSError and exits 2 like any other
+        print(json.dumps(record, indent=2) if args.json else "\n".join(lines))
+        return code
     except (CurveSpecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd
+from operator import index
 
 
 class InfiniteComplementError(ValueError):
@@ -25,7 +26,7 @@ class InfiniteComplementError(ValueError):
 
 
 def _normalized_generators(gens) -> tuple[int, ...]:
-    gen_list = sorted({int(g) for g in gens})
+    gen_list = sorted({index(g) for g in gens})
     if not gen_list:
         raise ValueError("at least one generator is required")
     if gen_list[0] < 1:
@@ -122,7 +123,8 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
 
     The generators are kept as given (deduplicated and sorted); minimality
     is not required.  Raises ``InfiniteComplementError`` when their gcd
-    exceeds 1 and ``ValueError`` for an empty or non-positive input.
+    exceeds 1, ``ValueError`` for an empty or non-positive input and
+    ``TypeError`` for a generator that is not an integer.
     Every call with the same generator set returns one shared instance.
     """
     return _semigroup(_normalized_generators(gens))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from math import comb, gcd
-from operator import add
+from operator import add, index
 
 from .numsg import NumericalSemigroup, _semigroup, gaps_below
 
@@ -107,7 +107,7 @@ def normalize_translate(gaps_of_raw_delta, s: NumericalSemigroup) -> GammaModule
     all translates inside N exactly one has genus(Gamma) gaps.  The input
     is given by its gap set; anything not Gamma-closed is rejected.
     """
-    gaps = sorted({int(g) for g in gaps_of_raw_delta})
+    gaps = sorted({index(g) for g in gaps_of_raw_delta})
     if gaps and gaps[0] < 0:
         raise ValueError("gap values must be non-negative")
     p = s.generators[0]
@@ -224,6 +224,10 @@ class NecklaceProfile:
         if stepped != list(a_seq[1:] + a_seq[:1]):
             i = next(i for i in range(1, n + 1) if stepped[i - 1] != a_seq[i % n])
             raise ValueError(f"offset recurrence fails at position {i}")
+        # the members' offsets are Delta's least members mod p, and each
+        # such w sits above w // p gaps: the normalized Delta has genus many
+        if sum(a_seq[i - 1] // p for i in members) != (p - 1) * (q - 1) // 2:
+            raise ValueError("a_seq is not the cogenus-normalized translate")
 
 
 def _word(members, n: int) -> bytes:
@@ -271,7 +275,7 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     same subset lands on the same module.
     """
     gamma = _pq_semigroup(p, q)
-    chosen = sorted({int(i) for i in members})
+    chosen = sorted({index(i) for i in members})
     n = p + q
     if len(chosen) != p:
         raise ValueError(f"need exactly {p} members, got {len(chosen)}")

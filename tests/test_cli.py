@@ -229,6 +229,14 @@ class TestModules:
         code, _, _ = run_cli(capsys, "modules", "3,x")
         assert code == 2
 
+    @pytest.mark.parametrize("generators", ["+3,5", "\u0663,5"])
+    def test_generators_follow_the_sg_token_syntax(self, capsys, generators):
+        # int() takes a sign and non-ASCII digits; the mini-language does not
+        code, out, err = run_cli(capsys, "modules", generators)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected comma-separated integers, got {generators!r}\n"
+        assert run_cli(capsys, "epsilon", f"sg({generators})")[0] == 2
+
 
 class TestMultiplicity:
     def test_product(self, capsys):
@@ -302,6 +310,25 @@ class TestCheck:
         path.write_text("# header\n\nnode # inline\n" + "node\n" * 23, encoding="utf-8")
         code, _, _ = run_cli(capsys, "check", str(path), "--g", "1")
         assert code == 0
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestStdoutFailure:
+    @pytest.mark.parametrize("argv", [("eg", "3"), ("--json", "modules", "3,5")])
+    def test_write_failure_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 class TestDeterminism:

@@ -58,6 +58,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             semigroup_from_generators({0, 3})
 
+    @pytest.mark.parametrize("gens", [[3.7, 5], ["3", 5], [3.0, 5]])
+    def test_non_integer_generator_is_not_truncated(self, gens):
+        with pytest.raises(TypeError):
+            semigroup_from_generators(gens)
+
     def test_duplicates_collapse(self):
         s = semigroup_from_generators([3, 3, 5, 5])
         assert s.generators == (3, 5)

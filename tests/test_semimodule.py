@@ -162,6 +162,10 @@ class TestNormalizeTranslate:
         with pytest.raises(InvalidModuleError):
             normalize_translate({1, 3}, s)  # 0 in Delta but 0 + 3 is a gap
 
+    def test_non_integer_gap_is_not_truncated(self):
+        with pytest.raises(TypeError):
+            normalize_translate([0.5], semigroup_from_generators({1}))
+
     def test_translation_uniqueness(self):
         # shifting a normalized module by any n >= 1 breaks the cogenus
         for p, q in SMALL_PAIRS:
@@ -271,6 +275,10 @@ class TestNecklaceToDelta:
     def test_out_of_range_members_rejected(self):
         with pytest.raises(ValueError):
             necklace_to_delta({0, 1}, 2, 3)
+
+    def test_non_integer_members_are_not_truncated(self):
+        with pytest.raises(TypeError):
+            necklace_to_delta((1.9, 2, "4"), 3, 5)
 
 
 class TestDeltaToNecklace:
@@ -414,6 +422,15 @@ class TestNecklaceProfile:
         lowered = tuple(v - min(a_seq) - 1 for v in a_seq)
         with pytest.raises(ValueError, match="distinct non-negative"):
             NecklaceProfile(p, q, members, lowered)
+
+    @pytest.mark.parametrize("p,q", PROFILE_PAIRS + [(7, 4)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_translated_a_seq_rejected(self, p, q, k):
+        # a translate keeps the recurrence, distinctness and non-negativity
+        members, a_seq = profile_read_from(p, q, 0)
+        raised = tuple(v + k for v in a_seq)
+        with pytest.raises(ValueError, match="cogenus-normalized"):
+            NecklaceProfile(p, q, members, raised)
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
     def test_broken_recurrence_names_the_first_failing_position(self, p, q):
