@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .invariants import (
@@ -27,13 +28,12 @@ from .semimodule import enumerate_delta_sets, minimal_generators
 
 
 def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+    # the integer syntax of sg(…): int() would also take '+3', '1_0' and '٣'
+    if re.fullmatch(r"-?[0-9]+", text) is None:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+    if text.startswith("-"):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,12 +120,7 @@ def _cmd_epsilon(args) -> tuple:
 
 
 def _cmd_modules(args) -> tuple:
-    try:
-        gens = _int_values(args.generators, args.generators)
-    except CurveSpecError:
-        raise CurveSpecError(
-            f"expected comma-separated integers, got {args.generators!r}"
-        ) from None
+    gens = _int_values(args.generators, args.generators)
     modules = enumerate_delta_sets(semigroup_from_generators(gens))
     rows = [(m, minimal_generators(m)) for m in modules]
     record = [{"gaps": list(m.gap_set), "generators": list(g)} for m, g in rows]

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import index
 
 from .numsg import NumericalSemigroup, semigroup_from_generators
 from .qseries import yau_zaslow_coefficients
@@ -72,6 +73,8 @@ class PlanarPQ(Singularity):
     method = "closed-form"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", index(self.p))
+        object.__setattr__(self, "q", index(self.q))
         require_coprime(self.p, self.q)
 
     @cached_property
@@ -109,6 +112,7 @@ class Ade(Singularity):
     method = "ade-table"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "index", index(self.index))
         if self.family not in _ADE_INDEX_FLOOR:
             raise ValueError(f"family must be A, D, or E, got {self.family!r}")
         if self.index < _ADE_INDEX_FLOOR[self.family]:

@@ -60,31 +60,22 @@ def gaps_below(least, m: int) -> tuple[int, ...]:
     return tuple(sorted(n for w in least for n in range(w % m, w, m)))
 
 
-def _gap_sieve(gen_list: tuple[int, ...]) -> tuple[int, ...]:
-    return gaps_below(_apery(gen_list), gen_list[0])
-
-
 @dataclass(frozen=True)
 class NumericalSemigroup:
-    """A semigroup held as its generator set, its full gap set and ``apery``."""
+    """A semigroup given by its generators; ``gap_set`` and ``apery`` are computed."""
 
     generators: tuple[int, ...]
-    gap_set: tuple[int, ...]
+    gap_set: tuple[int, ...] = field(init=False)
     apery: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "gap_set", tuple(self.gap_set))
         gens = _normalized_generators(self.generators)
         if gens != self.generators:
             raise ValueError("generators must be a sorted set of positive ints")
         least = _apery(gens)
-        if self.gap_set != gaps_below(least, gens[0]):
-            raise ValueError(
-                f"gap set {list(self.gap_set)} does not match the semigroup "
-                f"generated by {list(gens)}"
-            )
         object.__setattr__(self, "apery", least)
+        object.__setattr__(self, "gap_set", gaps_below(least, gens[0]))
 
     @property
     def genus(self) -> int:
@@ -132,4 +123,4 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
 
 @lru_cache(maxsize=1024)
 def _semigroup(gen_list: tuple[int, ...]) -> NumericalSemigroup:
-    return NumericalSemigroup(gen_list, _gap_sieve(gen_list))
+    return NumericalSemigroup(gen_list)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from math import comb, gcd
-from operator import add, index
+from operator import index
 
 from .numsg import NumericalSemigroup, _semigroup, gaps_below
 
@@ -190,20 +190,19 @@ class NecklaceProfile:
     """A rotation class of p-subsets of {1..p+q} with its offset sequence.
 
     ``members`` is the lexicographically smallest rotation of the class
-    (as a 0/1 characteristic word).  ``a_seq`` holds a(1..p+q) for that
-    rotation, translated so that the progressions a(s) + p*N over
+    (as a 0/1 characteristic word).  ``a_seq`` is computed from it: a(1..p+q)
+    for that rotation, translated so that the progressions a(s) + p*N over
     s in members form the cogenus-normalized Delta directly.
     """
 
     p: int
     q: int
     members: tuple[int, ...]
-    a_seq: tuple[int, ...]
+    a_seq: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(self, "a_seq", tuple(self.a_seq))
-        p, q, members, a_seq = self.p, self.q, self.members, self.a_seq
+        p, q, members = self.p, self.q, self.members
         require_coprime(p, q)
         n = p + q
         if len(members) != p:
@@ -215,19 +214,11 @@ class NecklaceProfile:
         word = _word(members, n)
         if _least_rotation(word) != 0:
             raise ValueError("members must be the least rotation of the class")
-        if len(a_seq) != n:
-            raise ValueError(f"a_seq must have length {n}")
-        if len(set(a_seq)) != n or min(a_seq) < 0:
-            raise ValueError("a_seq values must be distinct non-negative ints")
-        # a(i) + step(i), position i = 1..n, against a(i+1) read cyclically
-        stepped = list(map(add, a_seq, map((-p, q).__getitem__, word)))
-        if stepped != list(a_seq[1:] + a_seq[:1]):
-            i = next(i for i in range(1, n + 1) if stepped[i - 1] != a_seq[i % n])
-            raise ValueError(f"offset recurrence fails at position {i}")
+        a = _offsets(word, p, q)
         # the members' offsets are Delta's least members mod p, and each
         # such w sits above w // p gaps: the normalized Delta has genus many
-        if sum(a_seq[i - 1] // p for i in members) != (p - 1) * (q - 1) // 2:
-            raise ValueError("a_seq is not the cogenus-normalized translate")
+        shift = sum(a[i - 1] // p for i in members) - (p - 1) * (q - 1) // 2
+        object.__setattr__(self, "a_seq", tuple([v - shift for v in a]))
 
 
 def _word(members, n: int) -> bytes:
@@ -264,6 +255,11 @@ def _least_rotation(word: bytes) -> int:
     return min(starts, key=lambda i: doubled[i:i + n])
 
 
+def _offsets(word: bytes, p: int, q: int) -> list[int]:
+    """a(1..p+q) from a(1) = p*q, stepping +q after a 1 of ``word``, -p after a 0."""
+    return list(accumulate(map((-p, q).__getitem__, word[:-1]), initial=p * q))
+
+
 def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     """Run the offset recurrence on a p-subset of {1..p+q} and read off Delta.
 
@@ -281,9 +277,7 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
         raise ValueError(f"need exactly {p} members, got {len(chosen)}")
     if chosen and not (1 <= chosen[0] and chosen[-1] <= n):
         raise ValueError(f"members must lie in 1..{n}")
-    # a(1..n): a(1) = p*q, then +q after a member position, -p elsewhere
-    steps = map((-p, q).__getitem__, _word(chosen, n)[:-1])
-    a = list(accumulate(steps, initial=p * q))
+    a = _offsets(_word(chosen, n), p, q)
     starts = [a[s - 1] for s in chosen]
     assert min(a) >= 0 and len({v % p for v in starts}) == p
     return _translate(starts, p, gamma)
@@ -321,4 +315,6 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     word = bytes(map(p_set.__contains__, walk))
     start = _least_rotation(word)
     members = tuple(compress(range(1, n + 1), word[start:] + word[:start]))
-    return NecklaceProfile(p, q, members, walk[start:] + walk[:start])
+    profile = NecklaceProfile(p, q, members)  # a_seq by the forward recurrence
+    assert profile.a_seq == tuple(walk[start:] + walk[:start])
+    return profile

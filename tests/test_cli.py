@@ -87,6 +87,30 @@ class TestEg:
         code, _, _ = run_cli(capsys, "eg", "--", "-3")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (("eg", "abc"), "argument gmax: expected an integer, got 'abc'"),
+        (("eg", "--", "-3"), "argument gmax: expected a non-negative integer, got -3"),
+    ])
+    def test_usage_messages(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("eg", "\u0663"),
+        ("eg", "+3"),
+        ("eg", "1_0"),
+        ("eg", " 3"),
+        ("--max-window", "\u0661", "eg", "1"),
+        ("eg", "1", "--max-window", "+1"),
+        ("check", "curves.txt", "--g", "+1"),
+    ])
+    def test_integers_follow_the_sg_token_syntax(self, capsys, argv):
+        # int() takes a sign, underscores, spaces and non-ASCII digits
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "expected an integer, got " in err
+
     def test_missing_argument(self, capsys):
         code, _, _ = run_cli(capsys, "eg")
         assert code == 2
@@ -231,11 +255,17 @@ class TestModules:
 
     @pytest.mark.parametrize("generators", ["+3,5", "\u0663,5"])
     def test_generators_follow_the_sg_token_syntax(self, capsys, generators):
-        # int() takes a sign and non-ASCII digits; the mini-language does not
+        # int() takes a sign and non-ASCII digits; the mini-language does not,
+        # and both commands reject the list with one message
         code, out, err = run_cli(capsys, "modules", generators)
         assert (code, out) == (2, "")
-        assert err == f"error: expected comma-separated integers, got {generators!r}\n"
-        assert run_cli(capsys, "epsilon", f"sg({generators})")[0] == 2
+        assert err == (
+            f"error: expected a comma-separated integer list in {generators!r}\n"
+        )
+        token = f"sg({generators})"
+        assert run_cli(capsys, "epsilon", token) == (2, "", (
+            f"error: expected a comma-separated integer list in {token!r}\n"
+        ))
 
 
 class TestMultiplicity:

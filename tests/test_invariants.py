@@ -59,6 +59,15 @@ class TestEpsilonPQ:
         with pytest.raises(ValueError):
             epsilon_pq(4, 6)
 
+    @pytest.mark.parametrize("p,q", [(2.0, 3), (2, "3"), (3.5, 5)])
+    def test_non_integer_exponent_rejected(self, p, q):
+        with pytest.raises(TypeError):
+            PlanarPQ(p, q)
+
+    def test_bool_exponent_becomes_int(self):
+        point = PlanarPQ(True, 2)
+        assert str(point) == "pq(1,2)" and point == PlanarPQ(1, 2)
+
     def test_symmetry(self):
         for p, q in DESK_PAIRS:
             assert epsilon_pq(p, q) == epsilon_pq(q, p)
@@ -99,6 +108,15 @@ class TestEpsilonAde:
     def test_invalid_labels(self, family, index):
         with pytest.raises(ValueError):
             Ade(family, index)
+
+    @pytest.mark.parametrize("family,index", [("A", 2.0), ("E", 6.0), ("D", "5")])
+    def test_non_integer_index_rejected(self, family, index):
+        with pytest.raises(TypeError):
+            Ade(family, index)
+
+    def test_bool_index_becomes_int(self):
+        point = Ade("A", True)
+        assert str(point) == "A1" and point == Ade("A", 1)
 
 
 class TestBranchesOfAde:

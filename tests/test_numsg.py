@@ -75,8 +75,9 @@ class TestConstruction:
         assert s.frobenius == 29
 
     def test_dataclass_rejects_wrong_gap_set(self):
-        with pytest.raises(ValueError):
-            NumericalSemigroup((3, 5), (1, 2, 4))
+        # the gap set is computed from the generators, never taken as input
+        with pytest.raises(TypeError):
+            NumericalSemigroup((3, 5), (1, 2, 4, 7))
 
     def test_display_form(self):
         assert str(semigroup_from_generators({5, 3})) == "⟨3,5⟩"
@@ -202,21 +203,32 @@ class TestSharedInstances:
 
     def test_direct_construction_is_checked_after_caching(self):
         semigroup_from_generators({3, 5})
-        with pytest.raises(ValueError):
-            NumericalSemigroup((3, 5), (1, 2, 4))
-        with pytest.raises(ValueError):
-            NumericalSemigroup((3, 5), (1, 2, 4, 7, 9))
+        assert NumericalSemigroup((3, 5)) == semigroup_from_generators({3, 5})
+        with pytest.raises(ValueError, match="sorted set"):
+            NumericalSemigroup((5, 3))
+        with pytest.raises(InfiniteComplementError):
+            NumericalSemigroup((4, 6))
 
-    def test_necklace_roundtrip_computes_no_gap_set(self, monkeypatch):
+    @staticmethod
+    def count_apery_calls(monkeypatch):
         calls = []
-        original = numsg._gap_sieve
+        original = numsg._apery
 
         def counting(gen_list):
             calls.append(gen_list)
             return original(gen_list)
 
-        monkeypatch.setattr(numsg, "_gap_sieve", counting)
+        monkeypatch.setattr(numsg, "_apery", counting)
         numsg._semigroup.cache_clear()
+        return calls
+
+    def test_a_new_semigroup_computes_one_apery_set(self, monkeypatch):
+        calls = self.count_apery_calls(monkeypatch)
+        semigroup_from_generators((7, 9))
+        assert calls == [(7, 9)]
+
+    def test_necklace_roundtrip_computes_no_gap_set(self, monkeypatch):
+        calls = self.count_apery_calls(monkeypatch)
         semigroup_from_generators((7, 9))
         assert calls  # the warm-up call built <7,9> through the counter
         calls.clear()

@@ -364,23 +364,28 @@ class TestLeastRotation:
 PROFILE_PAIRS = [(2, 3), (3, 5), (5, 2)]
 
 
-def profile_read_from(p, q, r):
-    """Members and a_seq of a valid class of (p, q), read from start r.
-
-    The recurrence still holds cyclically, so for r != 0 only the
-    least-rotation check can reject the result.
-    """
+def members_read_from(p, q, r):
+    """Members of a valid class of (p, q), read from start r."""
     n = p + q
     prof = delta_to_necklace(necklace_to_delta(range(1, p + 1), p, q), p, q)
     word = [1 if i in prof.members else 0 for i in range(1, n + 1)]
-    members = tuple(i + 1 for i, bit in enumerate(word[r:] + word[:r]) if bit)
-    return members, prof.a_seq[r:] + prof.a_seq[:r]
+    return tuple(i + 1 for i, bit in enumerate(word[r:] + word[:r]) if bit)
+
+
+def recurrence_failure(p, q, members, a_seq):
+    """First position i with a(i+1) != a(i) + step(i), read cyclically, or None."""
+    n = p + q
+    return next(
+        (i for i in range(1, n + 1)
+         if a_seq[i % n] != a_seq[i - 1] + (q if i in members else -p)),
+        None,
+    )
 
 
 class TestNecklaceProfile:
     def test_wrong_member_count_rejected(self):
         with pytest.raises(ValueError, match="exactly 2 elements"):
-            NecklaceProfile(2, 3, (1,), (6, 9, 12, 10, 8))
+            NecklaceProfile(2, 3, (1,))
 
     def test_non_canonical_rotation_rejected(self):
         prof = delta_to_necklace(
@@ -389,56 +394,78 @@ class TestNecklaceProfile:
         n = 5
         shifted_members = tuple(sorted((m - 1 + 1) % n + 1 for m in prof.members))
         with pytest.raises(ValueError, match="least rotation"):
-            NecklaceProfile(2, 3, shifted_members, prof.a_seq)
-
-    def test_recurrence_violation_rejected(self):
-        prof = delta_to_necklace(
-            enumerate_delta_sets(semigroup_from_generators({2, 3}))[0], 2, 3
-        )
-        broken = list(prof.a_seq)
-        broken[2] += 1
-        with pytest.raises(ValueError):
-            NecklaceProfile(2, 3, prof.members, tuple(broken))
+            NecklaceProfile(2, 3, shifted_members)
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
     def test_only_the_least_rotation_check_rejects_other_rotations(self, p, q):
-        NecklaceProfile(p, q, *profile_read_from(p, q, 0))
+        NecklaceProfile(p, q, members_read_from(p, q, 0))
         for r in range(1, p + q):
-            members, a_seq = profile_read_from(p, q, r)
             with pytest.raises(ValueError, match="least rotation"):
-                NecklaceProfile(p, q, members, a_seq)
+                NecklaceProfile(p, q, members_read_from(p, q, r))
+
+    # The a_seq checks went with the a_seq argument.  Each test below passes
+    # the bad a_seq its check once rejected, which is now refused as an
+    # argument, and asserts that the derived a_seq has what the check demanded.
+
+    def test_recurrence_violation_rejected(self):
+        prof = NecklaceProfile(2, 3, members_read_from(2, 3, 0))
+        broken = list(prof.a_seq)
+        broken[2] += 1
+        with pytest.raises(TypeError):
+            NecklaceProfile(2, 3, prof.members, tuple(broken))
+        assert recurrence_failure(2, 3, prof.members, prof.a_seq) is None
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
     def test_duplicate_offset_rejected(self, p, q):
-        members, a_seq = profile_read_from(p, q, 0)
-        duplicated = (a_seq[0],) + a_seq[:-1]
-        with pytest.raises(ValueError, match="distinct non-negative"):
-            NecklaceProfile(p, q, members, duplicated)
+        prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
+        duplicated = (prof.a_seq[0],) + prof.a_seq[:-1]
+        with pytest.raises(TypeError):
+            NecklaceProfile(p, q, prof.members, duplicated)
+        assert len(set(prof.a_seq)) == p + q
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
     def test_negative_offset_rejected(self, p, q):
-        # a translate keeps the recurrence and distinctness
-        members, a_seq = profile_read_from(p, q, 0)
-        lowered = tuple(v - min(a_seq) - 1 for v in a_seq)
-        with pytest.raises(ValueError, match="distinct non-negative"):
-            NecklaceProfile(p, q, members, lowered)
-
-    @pytest.mark.parametrize("p,q", PROFILE_PAIRS + [(7, 4)])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_translated_a_seq_rejected(self, p, q, k):
-        # a translate keeps the recurrence, distinctness and non-negativity
-        members, a_seq = profile_read_from(p, q, 0)
-        raised = tuple(v + k for v in a_seq)
-        with pytest.raises(ValueError, match="cogenus-normalized"):
-            NecklaceProfile(p, q, members, raised)
+        prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
+        lowered = tuple([v - min(prof.a_seq) - 1 for v in prof.a_seq])
+        with pytest.raises(TypeError):
+            NecklaceProfile(p, q, prof.members, lowered)
+        assert min(prof.a_seq) >= 0
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
     def test_broken_recurrence_names_the_first_failing_position(self, p, q):
         # swapping a(3) and a(4) keeps the values; a(3) = a(2) + step fails first
-        members, a_seq = profile_read_from(p, q, 0)
-        swapped = a_seq[:2] + (a_seq[3], a_seq[2]) + a_seq[4:]
-        with pytest.raises(ValueError, match="fails at position 2$"):
-            NecklaceProfile(p, q, members, swapped)
+        prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
+        a = prof.a_seq
+        swapped = a[:2] + (a[3], a[2]) + a[4:]
+        with pytest.raises(TypeError):
+            NecklaceProfile(p, q, prof.members, swapped)
+        assert recurrence_failure(p, q, prof.members, swapped) == 2
+        assert recurrence_failure(p, q, prof.members, a) is None
+
+    @pytest.mark.parametrize("p,q", PROFILE_PAIRS + [(7, 4)])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_translated_a_seq_rejected(self, p, q, k):
+        # a_seq is computed from the members, so no a_seq may be passed,
+        # not even the profile's own (k = 0)
+        prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
+        with pytest.raises(TypeError):
+            NecklaceProfile(p, q, prof.members, tuple([v + k for v in prof.a_seq]))
+
+    @pytest.mark.parametrize("p,q", PROFILE_PAIRS + [(7, 4)])
+    def test_derived_a_seq_is_the_normalized_offset_cycle(self, p, q):
+        n = p + q
+        seen = set()
+        for S in combinations(range(1, n + 1), p):
+            prof = delta_to_necklace(necklace_to_delta(S, p, q), p, q)
+            if prof.members in seen:
+                continue
+            seen.add(prof.members)
+            a = prof.a_seq
+            assert len(a) == n and len(set(a)) == n and min(a) >= 0
+            assert recurrence_failure(p, q, prof.members, a) is None, prof.members
+            genus = (p - 1) * (q - 1) // 2
+            assert sum(a[i - 1] // p for i in prof.members) == genus
+        assert len(seen) == count_necklaces(p, q)
 
 
 small_semigroups = st.sampled_from(
