@@ -73,9 +73,9 @@ class PlanarPQ(Singularity):
     method = "closed-form"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", index(self.p))
-        object.__setattr__(self, "q", index(self.q))
-        require_coprime(self.p, self.q)
+        p, q = require_coprime(self.p, self.q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @cached_property
     def epsilon(self) -> int:

@@ -17,6 +17,11 @@ a(s) + p*N over s in S.  Rotating S shifts the sequence a and leaves D
 unchanged, so rotation classes count the sets: binomial(p+q,p)/(p+q)
 exactly, the rotation action being free because gcd(p, p+q) = 1.
 
+Both steps are +q modulo p+q, so a(k+1) = a(1) + k*q (mod p+q): the
+offsets run once through Z/(p+q) at stride q, and the members' offsets
+are the least members of D in each class mod p.  The inverse map marks
+those residues and reads the word at stride q.
+
 A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
 by ``apery``, its least member w in each class mod p; it is closed under
 another generator g exactly when each w + g is a member (Kunz's
@@ -30,7 +35,7 @@ from itertools import accumulate, compress
 from math import comb, gcd
 from operator import index
 
-from .numsg import NumericalSemigroup, _semigroup, gaps_below
+from .numsg import NumericalSemigroup, gaps_below, semigroup_from_generators
 
 
 class InvalidModuleError(ValueError):
@@ -164,25 +169,20 @@ def minimal_generators(m: GammaModule) -> tuple[int, ...]:
 
 def count_necklaces(p: int, q: int) -> int:
     """Rotation classes of p-subsets of {1..p+q}: binomial(p+q,p)/(p+q)."""
-    require_coprime(p, q)
+    p, q = require_coprime(p, q)
     total, rem = divmod(comb(p + q, p), p + q)
     assert rem == 0  # rotation acts freely when gcd(p, p+q) = 1
     return total
 
 
-def require_coprime(p: int, q: int) -> None:
-    """Raise ValueError unless p and q are positive and coprime."""
+def require_coprime(p: int, q: int) -> tuple[int, int]:
+    """Return (p, q) as ints; raise ValueError unless positive and coprime."""
+    p, q = index(p), index(q)
     if p < 1 or q < 1:
         raise ValueError(f"p and q must be positive, got ({p}, {q})")
     if gcd(p, q) != 1:
         raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
-
-
-def _pq_semigroup(p: int, q: int) -> NumericalSemigroup:
-    # require_coprime makes every check semigroup_from_generators would
-    # repeat, so the shared instance is read straight from numsg's memo
-    require_coprime(p, q)
-    return _semigroup((p, q) if p < q else (q, p) if q < p else (p,))
+    return p, q
 
 
 @dataclass(frozen=True)
@@ -201,9 +201,11 @@ class NecklaceProfile:
     a_seq: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        p, q, members = self.p, self.q, self.members
-        require_coprime(p, q)
+        p, q = require_coprime(self.p, self.q)
+        members = tuple(self.members)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "members", members)
         n = p + q
         if len(members) != p:
             raise ValueError(f"member set must have exactly {p} elements")
@@ -270,7 +272,8 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     the unique cogenus-correct representative, so any rotation of the
     same subset lands on the same module.
     """
-    gamma = _pq_semigroup(p, q)
+    p, q = require_coprime(p, q)
+    gamma = semigroup_from_generators((p, q))
     chosen = sorted({index(i) for i in members})
     n = p + q
     if len(chosen) != p:
@@ -286,35 +289,27 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
 def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     """Recover the rotation class of a module over <p,q>.
 
-    The p smallest members in each residue class mod p and, shifted up by
-    p, the q smallest members in each class mod q form p+q distinct
-    offsets.  Following "+q from the first group, -p from the second"
-    traverses them in a single cycle; the positions of first-group visits
-    along that cycle are the subset, read in its least rotation.
+    The offsets of a class are Z/(p+q) read at stride q, and its members'
+    offsets are Delta's least members mod p.  So the word is 1 at step k
+    iff the residue k*q mod p+q is marked by a least member: a rotation of
+    the class, whose least rotation gives the subset.
     """
-    gamma = _pq_semigroup(p, q)
+    p, q = require_coprime(p, q)
+    gamma = semigroup_from_generators((p, q))
     if m.semigroup is not gamma and m.semigroup.gap_set != gamma.gap_set:
         raise ValueError(
             f"module lives over {m.semigroup}, not over {gamma}"
         )
-    p_offsets = _class_minima(m.gap_set, p)
-    q_offsets = [v + p for v in _class_minima(m.gap_set, q)]
-    values = p_offsets + q_offsets
-    value_set = set(values)
+    least = _class_minima(m.gap_set, p)
     n = p + q
-    assert len(value_set) == n
-    p_set = set(p_offsets)
-
-    v = values[0]
-    walk = [v]
-    for _ in range(n - 1):
-        v = v + q if v in p_set else v - p
-        walk.append(v)
-    # the successor map is a single (p+q)-cycle through the offsets
-    assert set(walk) == value_set
-    word = bytes(map(p_set.__contains__, walk))
+    mark = bytearray(n)
+    for w in least:
+        mark[w % n] = 1
+    assert sum(mark) == p  # the least members are offsets, distinct mod p+q
+    word = bytes([mark[k * q % n] for k in range(n)])
     start = _least_rotation(word)
     members = tuple(compress(range(1, n + 1), word[start:] + word[:start]))
     profile = NecklaceProfile(p, q, members)  # a_seq by the forward recurrence
-    assert profile.a_seq == tuple(walk[start:] + walk[:start])
+    # the forward map sends members back to m: their offsets are m's minima
+    assert {profile.a_seq[i - 1] for i in members} == set(least)
     return profile

@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3count.numsg import semigroup_from_generators
+from k3count import numsg
+from k3count.numsg import NumericalSemigroup, semigroup_from_generators
 from k3count.semimodule import (
     GammaModule,
     InvalidModuleError,
@@ -325,6 +326,16 @@ class TestDeltaToNecklace:
                     shifted[value + q if i in in_s else value - p] += 1
                 assert shifted == Counter(prof.a_seq)
 
+    def test_offsets_are_residues_at_stride_q(self):
+        # a(k+1) = a(k) + q or a(k) - p, both + q mod p+q: the inverse map
+        # reads the word off the residues k*q mod p+q
+        for p, q in BIJECTION_PAIRS:
+            n = p + q
+            for m in enumerate_delta_sets(semigroup_from_generators({p, q})):
+                a = delta_to_necklace(m, p, q).a_seq
+                assert len({v % n for v in a}) == n
+                assert all((v - a[0] - k * q) % n == 0 for k, v in enumerate(a))
+
     def test_mismatched_semigroup_rejected(self):
         s = semigroup_from_generators({2, 3})
         module = GammaModule(s, s.gap_set)
@@ -342,6 +353,22 @@ class TestDeltaToNecklace:
                     start = prof.a_seq[i - 1]
                     covered.update(range(start, top + p + 1, p))
                 assert covered == {n for n in range(top + p + 1) if n in m}
+
+
+class TestSharedSemigroups:
+    @pytest.mark.parametrize("call", [
+        lambda: necklace_to_delta((1,), True, 2),
+        lambda: delta_to_necklace(GammaModule(NumericalSemigroup((1, 2)), ()), True, 2),
+    ], ids=["necklace_to_delta", "delta_to_necklace"])
+    def test_bool_exponent_does_not_reach_the_memo(self, call):
+        # a bool equals its int as a memo key, so a semigroup built from
+        # (True, 2) would be the shared instance for (1, 2)
+        numsg._semigroup.cache_clear()
+        try:
+            call()
+            assert str(semigroup_from_generators((1, 2))) == "⟨1,2⟩"
+        finally:
+            numsg._semigroup.cache_clear()
 
 
 class TestLeastRotation:
@@ -386,6 +413,11 @@ class TestNecklaceProfile:
     def test_wrong_member_count_rejected(self):
         with pytest.raises(ValueError, match="exactly 2 elements"):
             NecklaceProfile(2, 3, (1,))
+
+    def test_bool_p_becomes_int(self):
+        prof = NecklaceProfile(True, 2, (3,))
+        assert prof.p == 1 and type(prof.p) is int
+        assert "p=1," in repr(prof)
 
     def test_non_canonical_rotation_rejected(self):
         prof = delta_to_necklace(
