@@ -25,11 +25,11 @@ epsilon 1; a node is two transversal smooth branches and also counts 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from operator import index
+from operator import index as _index
 
+from ._record import Record
 from .numsg import NumericalSemigroup, semigroup_from_generators
 from .qseries import yau_zaslow_coefficients
 from .semimodule import count_necklaces, enumerate_delta_sets, require_coprime
@@ -63,19 +63,15 @@ class Singularity:
         return None
 
 
-@dataclass(frozen=True)
-class PlanarPQ(Singularity):
+class PlanarPQ(Singularity, Record):
     """Unibranch planar point u^p = v^q with p, q coprime; smooth is (1,1)."""
 
-    p: int
-    q: int
-
+    _fields = ("p", "q")
     method = "closed-form"
 
-    def __post_init__(self) -> None:
-        p, q = require_coprime(self.p, self.q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def __init__(self, p: int, q: int) -> None:
+        p, q = require_coprime(p, q)
+        vars(self).update(p=p, q=q)
 
     @cached_property
     def epsilon(self) -> int:
@@ -102,25 +98,21 @@ class PlanarPQ(Singularity):
 _ADE_INDEX_FLOOR = {"A": 1, "D": 4, "E": 6}
 
 
-@dataclass(frozen=True)
-class Ade(Singularity):
+class Ade(Singularity, Record):
     """A simple singularity A_n (n>=1), D_n (n>=4), or E_6, E_7, E_8."""
 
-    family: str
-    index: int
-
+    _fields = ("family", "index")
     method = "ade-table"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", index(self.index))
-        if self.family not in _ADE_INDEX_FLOOR:
-            raise ValueError(f"family must be A, D, or E, got {self.family!r}")
-        if self.index < _ADE_INDEX_FLOOR[self.family]:
-            raise ValueError(
-                f"{self.family}_{self.index} is not a valid simple singularity"
-            )
-        if self.family == "E" and self.index not in (6, 7, 8):
-            raise ValueError(f"E_{self.index} is not a simple curve singularity")
+    def __init__(self, family: str, index: int) -> None:
+        index = _index(index)
+        if family not in _ADE_INDEX_FLOOR:
+            raise ValueError(f"family must be A, D, or E, got {family!r}")
+        if index < _ADE_INDEX_FLOOR[family]:
+            raise ValueError(f"{family}_{index} is not a valid simple singularity")
+        if family == "E" and index not in (6, 7, 8):
+            raise ValueError(f"E_{index} is not a simple curve singularity")
+        vars(self).update(family=family, index=index)
 
     @cached_property
     def epsilon(self) -> int:
@@ -139,13 +131,14 @@ class Ade(Singularity):
         return f"{self.family}{self.index}"
 
 
-@dataclass(frozen=True)
-class SemigroupPoint(Singularity):
+class SemigroupPoint(Singularity, Record):
     """A monomial unibranch point given by its value semigroup."""
 
-    semigroup: NumericalSemigroup
-
+    _fields = ("semigroup",)
     method = "enumeration"
+
+    def __init__(self, semigroup: NumericalSemigroup) -> None:
+        vars(self).update(semigroup=semigroup)
 
     @cached_property
     def epsilon(self) -> int:
@@ -172,18 +165,17 @@ class SemigroupPoint(Singularity):
         return "sg(" + ",".join(str(g) for g in self.semigroup.generators) + ")"
 
 
-@dataclass(frozen=True)
-class MultiBranch(Singularity):
+class MultiBranch(Singularity, Record):
     """A point with several branches; epsilon multiplies over them."""
 
-    branches: tuple[Singularity, ...]
-
+    _fields = ("branches",)
     method = "branch-product"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if not self.branches:
+    def __init__(self, branches) -> None:
+        branches = tuple(branches)
+        if not branches:
             raise ValueError("a multibranch point needs at least one branch")
+        vars(self).update(branches=branches)
 
     @cached_property
     def epsilon(self) -> int:
@@ -245,15 +237,13 @@ def branches_of_ade(sing: Ade) -> list[PlanarPQ]:
     return [PlanarPQ(3, 5)]
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(Record):
     """A rational curve as its list of singular points."""
 
-    label: str
-    singularities: tuple[Singularity, ...]
+    _fields = ("label", "singularities")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "singularities", tuple(self.singularities))
+    def __init__(self, label: str, singularities) -> None:
+        vars(self).update(label=label, singularities=tuple(singularities))
 
     @cached_property
     def multiplicity(self) -> int:
@@ -265,13 +255,13 @@ def multiplicity(curve: CurveRecord) -> int:
     return curve.multiplicity
 
 
-@dataclass(frozen=True)
-class GenusSumReport:
+class GenusSumReport(Record):
     """Outcome of comparing a curve list against the predicted count."""
 
-    sum: int
-    expected: int
-    equal: bool
+    _fields = ("sum", "expected", "equal")
+
+    def __init__(self, sum: int, expected: int, equal: bool) -> None:
+        vars(self).update(sum=sum, expected=expected, equal=equal)
 
 
 def check_genus_sum(curves, g: int) -> GenusSumReport:

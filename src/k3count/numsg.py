@@ -15,10 +15,11 @@ instance for every later call with the same generator set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd
 from operator import index
+
+from ._record import Record
 
 
 class InfiniteComplementError(ValueError):
@@ -60,22 +61,19 @@ def gaps_below(least, m: int) -> tuple[int, ...]:
     return tuple(sorted(n for w in least for n in range(w % m, w, m)))
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Record):
     """A semigroup given by its generators; ``gap_set`` and ``apery`` are computed."""
 
-    generators: tuple[int, ...]
-    gap_set: tuple[int, ...] = field(init=False)
-    apery: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("generators", "gap_set")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        gens = _normalized_generators(self.generators)
-        if gens != self.generators:
+    def __init__(self, generators) -> None:
+        generators = tuple(generators)
+        gens = _normalized_generators(generators)
+        if gens != generators:
             raise ValueError("generators must be a sorted set of positive ints")
         least = _apery(gens)
-        object.__setattr__(self, "apery", least)
-        object.__setattr__(self, "gap_set", gaps_below(least, gens[0]))
+        gaps = gaps_below(least, gens[0])
+        vars(self).update(generators=gens, gap_set=gaps, apery=least)
 
     @property
     def genus(self) -> int:

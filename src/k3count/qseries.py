@@ -17,26 +17,28 @@ public API and its independent cross-check, not part of that path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import index
+
+from ._record import Record
 
 
 class NonInvertibleError(ValueError):
     """The constant term is not a unit of Z, so no integer inverse exists."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """An integer series known modulo q^order, order = len(coeffs)."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs) -> None:
+        coeffs = tuple(coeffs)
+        if len(coeffs) == 0:
             raise ValueError("a truncated series needs at least its constant term")
-        for c in self.coeffs:
+        for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
+        vars(self).update(coeffs=tuple(map(index, coeffs)))
 
     @property
     def order(self) -> int:

@@ -30,11 +30,11 @@ inequality).  Translation shifts these p numbers and keeps closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from math import comb, gcd
 from operator import index
 
+from ._record import Record
 from .numsg import NumericalSemigroup, gaps_below, semigroup_from_generators
 
 
@@ -42,25 +42,21 @@ class InvalidModuleError(ValueError):
     """The proposed set is not closed under adding semigroup members."""
 
 
-@dataclass(frozen=True)
-class GammaModule:
+class GammaModule(Record):
     """A Delta-set, stored as its finite gap set N minus Delta and ``apery``."""
 
-    semigroup: NumericalSemigroup
-    gap_set: tuple[int, ...]
-    apery: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("semigroup", "gap_set")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gap_set", tuple(self.gap_set))
-        gaps = self.gap_set
+    def __init__(self, semigroup: NumericalSemigroup, gap_set) -> None:
+        gaps = tuple(map(index, gap_set))
         if list(gaps) != sorted(set(gaps)) or (gaps and gaps[0] < 0):
             raise ValueError("gap set must be sorted distinct non-negative ints")
-        if len(gaps) != self.semigroup.genus:
+        if len(gaps) != semigroup.genus:
             raise InvalidModuleError(
                 f"cogenus {len(gaps)} differs from the semigroup genus "
-                f"{self.semigroup.genus}"
+                f"{semigroup.genus}"
             )
-        p, *others = self.semigroup.generators
+        p, *others = semigroup.generators
         least = _class_minima(gaps, p)
         for w in least:
             for g in others:
@@ -68,7 +64,7 @@ class GammaModule:
                     raise InvalidModuleError(
                         f"not closed: {w} is a member but {w} + {g} is a gap"
                     )
-        object.__setattr__(self, "apery", tuple(least))
+        vars(self).update(semigroup=semigroup, gap_set=gaps, apery=tuple(least))
 
     @property
     def min_element(self) -> int:
@@ -185,8 +181,7 @@ def require_coprime(p: int, q: int) -> tuple[int, int]:
     return p, q
 
 
-@dataclass(frozen=True)
-class NecklaceProfile:
+class NecklaceProfile(Record):
     """A rotation class of p-subsets of {1..p+q} with its offset sequence.
 
     ``members`` is the lexicographically smallest rotation of the class
@@ -195,17 +190,11 @@ class NecklaceProfile:
     s in members form the cogenus-normalized Delta directly.
     """
 
-    p: int
-    q: int
-    members: tuple[int, ...]
-    a_seq: tuple[int, ...] = field(init=False)
+    _fields = ("p", "q", "members", "a_seq")
 
-    def __post_init__(self) -> None:
-        p, q = require_coprime(self.p, self.q)
-        members = tuple(self.members)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "members", members)
+    def __init__(self, p: int, q: int, members) -> None:
+        p, q = require_coprime(p, q)
+        members = tuple(members)
         n = p + q
         if len(members) != p:
             raise ValueError(f"member set must have exactly {p} elements")
@@ -220,7 +209,8 @@ class NecklaceProfile:
         # the members' offsets are Delta's least members mod p, and each
         # such w sits above w // p gaps: the normalized Delta has genus many
         shift = sum(a[i - 1] // p for i in members) - (p - 1) * (q - 1) // 2
-        object.__setattr__(self, "a_seq", tuple([v - shift for v in a]))
+        a_seq = tuple([v - shift for v in a])
+        vars(self).update(p=p, q=q, members=members, a_seq=a_seq)
 
 
 def _word(members, n: int) -> bytes:

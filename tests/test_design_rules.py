@@ -1,6 +1,8 @@
 """The package stays stdlib-only and computes with exact integers."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,13 @@ def test_stdlib_imports_and_exact_integers(path):
             assert node.module.split(".")[0] in sys.stdlib_module_names, where
         assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), where
         assert not isinstance(node, ast.Div), where
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # each CLI call is a fresh process, so start-up imports are paid every time
+    src = str(Path(k3count.__file__).parents[1])
+    code = ("import sys, k3count.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"

@@ -63,6 +63,11 @@ class TestConstruction:
         with pytest.raises(TypeError):
             semigroup_from_generators(gens)
 
+    def test_bool_generators_are_stored_as_ints(self):
+        s = NumericalSemigroup((True, 2))
+        assert [type(g) for g in s.generators] == [int, int]
+        assert str(s) == "⟨1,2⟩"
+
     def test_duplicates_collapse(self):
         s = semigroup_from_generators([3, 3, 5, 5])
         assert s.generators == (3, 5)

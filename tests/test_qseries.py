@@ -157,8 +157,13 @@ class TestTruncatedSeries:
             TruncatedSeries(())
 
     def test_rejects_floats(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="coefficients must be ints, got float"):
             TruncatedSeries((1.0, 2))
+
+    def test_bool_coefficients_are_stored_as_ints(self):
+        series = TruncatedSeries((True, 2))
+        assert type(series[0]) is int
+        assert repr(series) == "TruncatedSeries([1, 2])"
 
     def test_order_is_length(self):
         assert S(1, 2, 3).order == 3

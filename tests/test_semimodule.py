@@ -119,6 +119,15 @@ class TestClosureCheck:
         with pytest.raises(InvalidModuleError, match=r"1 \+ 5"):
             GammaModule(s, gaps)
 
+    def test_bool_gaps_are_stored_as_ints(self):
+        m = GammaModule(semigroup_from_generators((2, 3)), (True,))
+        assert type(m.gap_set[0]) is int
+        assert repr(m).endswith("gap_set=(1,))")
+
+    def test_float_gap_is_a_type_error(self):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            GammaModule(semigroup_from_generators((2, 3)), (1.0,))
+
 
 class TestAperyForm:
     @pytest.mark.parametrize("gens", [*SMALL_PAIRS, (4, 6, 9)],
