@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import accumulate
 from math import prod
 from operator import index as _index
 
@@ -287,33 +288,14 @@ def check_genus_sum(curves, g: int) -> GenusSumReport:
 # BRANCHES := "branches[" token (";" token)* "]"
 #
 # A curve is a comma-separated token list; "node" abbreviates
-# branches[pq(1,1);pq(1,1)].  Syntax problems raise CurveSpecError;
-# well-formed tokens with impossible numbers (gcd > 1, bad ADE index)
-# raise plain ValueError from the descriptor constructors.
+# branches[pq(1,1);pq(1,1)].  Spaces may surround tokens and separators.
+# Syntax problems raise CurveSpecError; well-formed tokens with impossible
+# numbers (gcd > 1, bad ADE index) raise plain ValueError from the
+# descriptor constructors.  Bracket balance is checked once over the whole
+# text; after that, errors come in reading order.
 
-_ADE_TOKEN = re.compile(r"([ADE])([0-9]+)\Z")
-
-
-def _split_outside_brackets(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise CurveSpecError(f"unbalanced brackets in {text!r}")
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise CurveSpecError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(current))
-    return parts
+_HEAD = re.compile(r"\s*(?:(node)|([ADE])([0-9]+)|(pq|sg)\(([^()\[\]]*)\)|(branches)\[)")
+_SPACE = re.compile(r"\s*")
 
 
 def _int_values(body: str, token: str) -> list[int]:
@@ -323,39 +305,59 @@ def _int_values(body: str, token: str) -> list[int]:
     return [int(piece) for piece in items]
 
 
+def _parse(text: str, pos: int, ends: tuple[str, ...]) -> tuple[Singularity, int]:
+    """Parse the token at ``pos``; return it and the index past its separator.
+
+    Past any spaces the token must be followed by one of ``ends`` ("" for the
+    end of ``text``), checked before it is built.  One frame per nesting level.
+    """
+    m = _HEAD.match(text, pos)
+    if not m:
+        raise CurveSpecError(f"unrecognized singularity token at {text[pos:]!r}")
+    node, family, digits, kind, body, group = m.groups()
+    end, branches = m.end(), []
+    while group and text[end - 1] in "[;":
+        branch, end = _parse(text, end, (";", "]"))
+        branches.append(branch)
+    end = _SPACE.match(text, end).end()
+    if text[end:end + 1] not in ends:
+        raise CurveSpecError(f"unexpected {text[end:]!r} after {text[pos:end].strip()!r}")
+    if node:
+        return NODE, end + 1
+    if family:
+        return Ade(family, int(digits)), end + 1
+    if group:
+        return MultiBranch(branches), end + 1
+    token = m.group(0).strip()
+    values = _int_values(body, token)
+    if kind == "sg":
+        return SemigroupPoint(semigroup_from_generators(values)), end + 1
+    if len(values) != 2:
+        raise CurveSpecError(f"pq takes exactly two integers, got {token!r}")
+    return PlanarPQ(*values), end + 1
+
+
+def _parse_all(text: str, sep: str):
+    """Check bracket balance, then yield the ``sep``-separated tokens in order."""
+    depth = list(accumulate(((ch in "([") - (ch in ")]") for ch in text), initial=0))
+    if min(depth) < 0 or depth[-1]:
+        raise CurveSpecError(f"unbalanced brackets in {text!r}")
+    end = 0
+    while end <= len(text):
+        sing, end = _parse(text, end, ("", sep))
+        yield sing
+
+
 def parse_singularity(token: str) -> Singularity:
     """Parse one token of the singularity mini-language."""
-    tok = token.strip()
-    if not tok:
-        raise CurveSpecError("empty singularity token")
-    if tok == "node":
-        return NODE
-    m = _ADE_TOKEN.fullmatch(tok)
-    if m:
-        return Ade(m.group(1), int(m.group(2)))
-    if tok.startswith("pq(") and tok.endswith(")"):
-        values = _int_values(tok[3:-1], tok)
-        if len(values) != 2:
-            raise CurveSpecError(f"pq takes exactly two integers, got {tok!r}")
-        return PlanarPQ(values[0], values[1])
-    if tok.startswith("sg(") and tok.endswith(")"):
-        values = _int_values(tok[3:-1], tok)
-        return SemigroupPoint(semigroup_from_generators(values))
-    if tok.startswith("branches[") and tok.endswith("]"):
-        inner = tok[len("branches["):-1]
-        pieces = _split_outside_brackets(inner, ";")
-        return MultiBranch(tuple(parse_singularity(piece) for piece in pieces))
-    raise CurveSpecError(f"unrecognized singularity token {token!r}")
+    return next(_parse_all(token, ""))
 
 
 def parse_curve(text: str, label: str = "curve") -> CurveRecord:
     """Parse a comma-separated singularity list into a curve record."""
     if not text.strip():
-        raise CurveSpecError(
-            "empty curve description; a smooth curve is written pq(1,1)"
-        )
-    tokens = _split_outside_brackets(text, ",")
-    return CurveRecord(label, tuple(parse_singularity(tok) for tok in tokens))
+        raise CurveSpecError("empty curve description; a smooth curve is written pq(1,1)")
+    return CurveRecord(label, _parse_all(text, ","))
 
 
 def parse_curve_file(text: str) -> list[CurveRecord]:

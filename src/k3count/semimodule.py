@@ -19,8 +19,8 @@ exactly, the rotation action being free because gcd(p, p+q) = 1.
 
 Both steps are +q modulo p+q, so a(k+1) = a(1) + k*q (mod p+q): the
 offsets run once through Z/(p+q) at stride q, and the members' offsets
-are the least members of D in each class mod p.  The inverse map marks
-those residues and reads the word at stride q.
+are the least members of D in each class mod p.  The inverse map puts
+each least member w at step w * q^-1 mod p+q of the word.
 
 A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
 by ``apery``, its least member w in each class mod p; it is closed under
@@ -194,7 +194,7 @@ class NecklaceProfile(Record):
 
     def __init__(self, p: int, q: int, members) -> None:
         p, q = require_coprime(p, q)
-        members = tuple(members)
+        members = tuple(map(index, members))
         n = p + q
         if len(members) != p:
             raise ValueError(f"member set must have exactly {p} elements")
@@ -280,9 +280,9 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     """Recover the rotation class of a module over <p,q>.
 
     The offsets of a class are Z/(p+q) read at stride q, and its members'
-    offsets are Delta's least members mod p.  So the word is 1 at step k
-    iff the residue k*q mod p+q is marked by a least member: a rotation of
-    the class, whose least rotation gives the subset.
+    offsets are Delta's least members mod p.  Step k reads residue k*q mod
+    p+q, so the word is 1 at step w * q^-1 mod p+q for each least member w:
+    a rotation of the class, whose least rotation gives the subset.
     """
     p, q = require_coprime(p, q)
     gamma = semigroup_from_generators((p, q))
@@ -292,11 +292,9 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
         )
     least = _class_minima(m.gap_set, p)
     n = p + q
-    mark = bytearray(n)
-    for w in least:
-        mark[w % n] = 1
-    assert sum(mark) == p  # the least members are offsets, distinct mod p+q
-    word = bytes([mark[k * q % n] for k in range(n)])
+    inv = pow(q, -1, n)
+    word = _word({w * inv % n + 1 for w in least}, n)
+    assert sum(word) == p  # the least members are offsets, distinct mod p+q
     start = _least_rotation(word)
     members = tuple(compress(range(1, n + 1), word[start:] + word[:start]))
     profile = NecklaceProfile(p, q, members)  # a_seq by the forward recurrence

@@ -245,6 +245,47 @@ class TestCheckGenusSum:
         assert (report.sum, report.expected, report.equal) == (323, 324, False)
 
 
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _leaves(draw):
+    """A descriptor without branches and a spaced rendering of it."""
+    kind = draw(st.sampled_from(["ade", "pq", "sg", "node"]))
+    if kind == "node":
+        return NODE, "node"
+    if kind == "ade":
+        family, index = draw(st.one_of(
+            st.tuples(st.just("A"), st.integers(1, 30)),
+            st.tuples(st.just("D"), st.integers(4, 30)),
+            st.tuples(st.just("E"), st.integers(6, 8)),
+        ))
+        return Ade(family, index), f"{family}{index}"
+    if kind == "pq":
+        values = draw(st.tuples(st.integers(1, 12), st.integers(1, 12))
+                      .filter(lambda pq: gcd(*pq) == 1))
+        sing = PlanarPQ(*values)
+    else:
+        values = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)
+                      .filter(lambda gens: gcd(*gens) == 1))
+        sing = SemigroupPoint(semigroup_from_generators(values))
+    inner = ",".join(draw(SPACES) + str(v) + draw(SPACES) for v in values)
+    return sing, f"{kind}({inner})"
+
+
+@st.composite
+def _groups(draw, branches):
+    parts = draw(st.lists(branches, min_size=1, max_size=3))
+    inner = ";".join(draw(SPACES) + text + draw(SPACES) for _, text in parts)
+    return MultiBranch(sing for sing, _ in parts), f"branches[{inner}]"
+
+
+# (descriptor, text) pairs nested up to 5 levels deep
+TREES = _leaves()
+for _ in range(5):
+    TREES = st.one_of(_leaves(), _groups(TREES))
+
+
 class TestParser:
     def test_ade_tokens(self):
         assert parse_singularity("A3") == Ade("A", 3)
@@ -280,6 +321,10 @@ class TestParser:
     @pytest.mark.parametrize("bad", [
         "", "  ", "Q3", "A", "3", "pq(2)", "pq(2,3,5)", "pq(2,x)",
         "sg()", "branches[]", "branches[pq(2,3)", "pq(2,3))", "nodes",
+        "pq (2,3)", "A 3", "A1,A2", "branches[A1;]", "branches[A1 A2]",
+        "branches[A1)", "pq(2,[3])", "branches[A1]]",
+        # the text after a token is read before the token is built
+        "pq(4,6)x", "A0 A1", "branches[D3 A1]",
     ])
     def test_syntax_errors(self, bad):
         with pytest.raises(CurveSpecError):
@@ -309,6 +354,40 @@ class TestParser:
                       "branches[pq(2,3);pq(1,1)]"]:
             sing = parse_singularity(token)
             assert parse_singularity(format_singularity(sing)) == sing
+
+    def test_deep_nesting_parses(self):
+        sing = parse_singularity("branches[" * 700 + "A1" + "]" * 700)
+        depth = 0
+        while isinstance(sing, MultiBranch):
+            (sing,) = sing.branches
+            depth += 1
+        assert depth == 700 and sing == Ade("A", 1)
+
+    @pytest.mark.parametrize("text", ["pq(4,6),branches[A1", "pq(4,6),)A1("])
+    def test_bracket_balance_is_checked_first(self, text):
+        with pytest.raises(CurveSpecError, match="unbalanced"):
+            parse_curve(text)
+
+    def test_other_errors_come_in_reading_order(self):
+        with pytest.raises(ValueError) as err:
+            parse_curve("pq(4,6),Q3")
+        assert not isinstance(err.value, CurveSpecError)
+        # the impossible semigroup is read before the text after the group
+        with pytest.raises(InfiniteComplementError):
+            parse_singularity("branches[sg(4,6)]x")
+
+    @given(TREES, SPACES, SPACES)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_rendered_tree_round_trips(self, tree, before, after):
+        sing, text = tree
+        assert parse_singularity(before + text + after) == sing
+        assert parse_singularity(format_singularity(sing)) == sing
+
+    @given(st.lists(st.tuples(SPACES, TREES, SPACES), min_size=1, max_size=4))
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_rendered_curve_round_trips(self, items):
+        text = ",".join(before + tree[1] + after for before, tree, after in items)
+        assert parse_curve(text).singularities == tuple(tree[0] for _, tree, _ in items)
 
 
 class TestDescriptorContract:

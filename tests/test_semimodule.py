@@ -30,8 +30,9 @@ SMALL_PAIRS = [
     for q in range(p + 1, 12)
     if p + q <= 12 and gcd(p, q) == 1
 ]
-# p > q: the bijection's p is then not the smallest generator of <p,q>
-BIJECTION_PAIRS = SMALL_PAIRS + [(3, 2), (5, 2), (5, 3), (7, 4)]
+# p > q: the bijection's p is then not the smallest generator of <p,q>;
+# q = 1: the inverse of q mod p+q is 1
+BIJECTION_PAIRS = SMALL_PAIRS + [(3, 2), (5, 2), (5, 3), (7, 4), (1, 1), (2, 1), (3, 1)]
 
 
 def rotated(members, shift, n):
@@ -345,6 +346,14 @@ class TestDeltaToNecklace:
                 assert len({v % n for v in a}) == n
                 assert all((v - a[0] - k * q) % n == 0 for k, v in enumerate(a))
 
+    def test_wide_pair_round_trips_in_linear_space(self):
+        # the word has p+q letters; nothing of size (p+q)*q may be built
+        p, q = 2, 100001
+        members = (p + q - 1, p + q)
+        module = necklace_to_delta(members, p, q)
+        assert len(module.gap_set) == (q - 1) // 2
+        assert delta_to_necklace(module, p, q).members == members
+
     def test_mismatched_semigroup_rejected(self):
         s = semigroup_from_generators({2, 3})
         module = GammaModule(s, s.gap_set)
@@ -422,6 +431,21 @@ class TestNecklaceProfile:
     def test_wrong_member_count_rejected(self):
         with pytest.raises(ValueError, match="exactly 2 elements"):
             NecklaceProfile(2, 3, (1,))
+
+    @pytest.mark.parametrize("members", [(3.0, 5.0), ("3", "5")])
+    def test_non_integer_members_rejected(self, members):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            NecklaceProfile(2, 3, members)
+
+    @pytest.mark.parametrize("members,message", [
+        ((5, 3), "members must be sorted and distinct"),
+        ((3, 3), "members must be sorted and distinct"),
+        ((0, 3), r"members must lie in 1\.\.5"),
+        ((3, 6), r"members must lie in 1\.\.5"),
+    ])
+    def test_member_set_checks(self, members, message):
+        with pytest.raises(ValueError, match=message):
+            NecklaceProfile(2, 3, members)
 
     def test_bool_p_becomes_int(self):
         prof = NecklaceProfile(True, 2, (3,))
