@@ -149,10 +149,8 @@ class SemigroupPoint(Singularity, Record):
         # two minimal generators of a numerical semigroup are coprime, and
         # <1> is the smooth point pq(1,1)
         gens = self.semigroup.minimal_generators
-        if gens == (1,):
-            gens = (1, 1)
-        if len(gens) == 2:
-            return {"method": "closed-form", "value": PlanarPQ(*gens).epsilon}
+        if len(gens) <= 2:
+            return {"method": "closed-form", "value": PlanarPQ(gens[0], gens[-1]).epsilon}
         return {
             "skipped": True,
             "reason": "no independent closed form for this semigroup",
@@ -361,13 +359,20 @@ def parse_curve(text: str, label: str = "curve") -> CurveRecord:
 
 
 def parse_curve_file(text: str) -> list[CurveRecord]:
-    """One curve per line; blank lines and text after ``#`` are ignored."""
+    """One curve per line; blank lines and text after ``#`` are ignored.
+
+    A line's parse error is raised again as its class, prefixed ``line N: ``.
+    """
     curves = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        curves.append(parse_curve(line, label=f"line {lineno}"))
+        label = f"line {lineno}"
+        try:
+            curves.append(parse_curve(line, label=label))
+        except ValueError as exc:
+            raise type(exc)(f"{label}: {exc}") from exc
     return curves
 
 

@@ -5,17 +5,17 @@ is the genus, its maximum is the Frobenius number, and every larger
 integer is a member.  For the monomial curve singularity with value
 semigroup Gamma, the genus equals the local delta invariant.
 
-The gap set is read off ``apery``, the Apéry set of the smallest
-generator m: the least member of each residue class mod m, found in
-O(m^2 + m*|gens|) steps however large the Frobenius number is; membership
-and the minimal generators read it too.  ``semigroup_from_generators``
-builds each distinct semigroup once and returns the same immutable
-instance for every later call with the same generator set.
+A semigroup stores ``apery``, the least member of each class mod its
+smallest generator m, found in O(m^2 + m*|gens|) steps however large
+the Frobenius number is.  Selmer's formulas read the genus, sum(w // m),
+and the Frobenius number, max(w) - m, off this Apéry set; ``gap_set`` is
+built on first read.  ``semigroup_from_generators`` returns one shared
+immutable instance per distinct generator set.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 from operator import index
 
@@ -62,7 +62,7 @@ def gaps_below(least, m: int) -> tuple[int, ...]:
 
 
 class NumericalSemigroup(Record):
-    """A semigroup given by its generators; ``gap_set`` and ``apery`` are computed."""
+    """A semigroup given by its generators; ``apery`` is computed, ``gap_set`` when read."""
 
     _fields = ("generators", "gap_set")
 
@@ -71,19 +71,21 @@ class NumericalSemigroup(Record):
         gens = _normalized_generators(generators)
         if gens != generators:
             raise ValueError("generators must be a sorted set of positive ints")
-        least = _apery(gens)
-        gaps = gaps_below(least, gens[0])
-        vars(self).update(generators=gens, gap_set=gaps, apery=least)
+        vars(self).update(generators=gens, apery=_apery(gens))
 
-    @property
+    @cached_property
+    def gap_set(self) -> tuple[int, ...]:
+        return gaps_below(self.apery, self.generators[0])
+
+    @cached_property
     def genus(self) -> int:
-        """Number of gaps; the delta invariant of the monomial curve."""
-        return len(self.gap_set)
+        """Number of gaps (Selmer); the delta invariant of the monomial curve."""
+        return sum(w // self.generators[0] for w in self.apery)
 
     @property
     def frobenius(self) -> int:
-        """Largest gap, or -1 when there is none (the semigroup is all of N)."""
-        return self.gap_set[-1] if self.gap_set else -1
+        """Largest gap (Selmer); -1 for <1>, whose Apéry set is (0,)."""
+        return max(self.apery) - self.generators[0]
 
     @property
     def minimal_generators(self) -> tuple[int, ...]:

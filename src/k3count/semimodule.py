@@ -286,7 +286,7 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     """
     p, q = require_coprime(p, q)
     gamma = semigroup_from_generators((p, q))
-    if m.semigroup is not gamma and m.semigroup.gap_set != gamma.gap_set:
+    if m.semigroup is not gamma and m.semigroup.apery != gamma.apery:
         raise ValueError(
             f"module lives over {m.semigroup}, not over {gamma}"
         )

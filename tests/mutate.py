@@ -2,7 +2,8 @@
 
 A mutant replaces one exact text (``old``, which must occur once) with
 ``new`` in one file of a fresh copy of ``src/``, ``tests/``,
-``pyproject.toml`` and ``README.md``; the copy's tests then run with ``-x``.  The mutant is
+``pyproject.toml`` and ``README.md``; the copy's tests then run with ``-x``, all but
+``test_mutants.py``, which fails on any mutant by design.  The mutant is
 killed when they fail.  An unmutated copy runs first and must pass.
 
     python3 tests/mutate.py            # every mutant
@@ -43,8 +44,10 @@ def run_tests(mutant: dict | None) -> tuple[bool, float]:
         env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
         start = time.perf_counter()
         result = subprocess.run(
+            # test_mutants.py checks that each old text is still in place, so
+            # it fails on every mutant and would hide whether any other test does
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"],
+             "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         return result.returncode == 0, time.perf_counter() - start

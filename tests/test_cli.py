@@ -219,6 +219,11 @@ class TestEpsilon:
         code, _, _ = run_cli(capsys, "epsilon", "D3")
         assert code == 1
 
+    def test_non_positive_exponent_is_domain_error(self, capsys):
+        assert run_cli(capsys, "epsilon", "pq(0,1)") == (
+            1, "", "error: p and q must be positive, got (0, 1)\n"
+        )
+
 
 class TestModules:
     def test_golden_listing(self, capsys):
@@ -326,6 +331,15 @@ class TestCheck:
         path.write_text("node\nwhat\n", encoding="utf-8")
         code, _, _ = run_cli(capsys, "check", str(path), "--g", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("text,code,message", [
+        ("node\nfoo\n", 2, "line 2: unrecognized singularity token at 'foo'"),
+        ("node\nnode\npq(4,6)\n", 1, "line 3: p and q must be coprime, got gcd(4, 6) = 2"),
+    ], ids=["syntax", "domain"])
+    def test_error_names_the_line(self, tmp_path, capsys, text, code, message):
+        path = tmp_path / "curves.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "check", str(path), "--g", "1") == (code, "", f"error: {message}\n")
 
     def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "curves.txt"

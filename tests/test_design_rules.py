@@ -1,4 +1,4 @@
-"""The package stays stdlib-only and computes with exact integers."""
+"""The package stays stdlib-only, computes with exact integers and recurses only where listed."""
 
 import ast
 import os
@@ -34,3 +34,32 @@ def test_cli_starts_without_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.strip() == "[]"
+
+
+# Each function in src/ that calls its own name, and what bounds its depth.
+RECURSIONS = {
+    "semimodule.walk": "one frame per window position, frobenius + genus (ROADMAP item 2)",
+    "invariants._parse": "one frame per branches[ level of the token (ROADMAP item 4)",
+    "invariants.verify": "MultiBranch.verify: one frame per nesting level (ROADMAP item 4)",
+    "invariants.branches_of_ade": "D_n recurses once, into A_(n-3): depth 2",
+}
+
+
+def _self_calls():
+    """``module.function`` for every function whose body calls its own name.
+
+    A call counts as ``f(...)`` or ``x.f(...)``; recursion through a
+    property read (``b.epsilon``) or through ``str(b)`` is not caught.
+    """
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                funcs = (c.func for c in ast.walk(node) if isinstance(c, ast.Call))
+                if any(getattr(f, "id", getattr(f, "attr", None)) == node.name for f in funcs):
+                    found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_recursion_is_allowlisted():
+    assert _self_calls() == set(RECURSIONS)

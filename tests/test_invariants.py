@@ -1,11 +1,13 @@
 """Epsilon routes, ADE table, branch decompositions, and the parser."""
 
+import tracemalloc
 from functools import cached_property
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3count import numsg
 from k3count.invariants import (
     NODE,
     Ade,
@@ -63,6 +65,10 @@ class TestEpsilonPQ:
     def test_non_integer_exponent_rejected(self, p, q):
         with pytest.raises(TypeError):
             PlanarPQ(p, q)
+
+    def test_non_positive_exponent_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            PlanarPQ(0, 1)
 
     def test_bool_exponent_becomes_int(self):
         point = PlanarPQ(True, 2)
@@ -244,6 +250,11 @@ class TestCheckGenusSum:
         report = check_genus_sum(curves, 2)
         assert (report.sum, report.expected, report.equal) == (323, 324, False)
 
+    def test_negative_genus_rejected(self):
+        # the check's own message, not that of e(g) for gmax = -1
+        with pytest.raises(ValueError, match="^g must be non-negative"):
+            check_genus_sum([], -1)
+
 
 SPACES = st.sampled_from(["", " ", "  ", "\t"])
 
@@ -403,6 +414,10 @@ class TestDescriptorContract:
         methods = {cls.method for cls in Singularity.__subclasses__()}
         assert methods == {"closed-form", "ade-table", "enumeration", "branch-product"}
 
+    def test_multibranch_needs_a_branch(self):
+        with pytest.raises(ValueError, match="at least one branch"):
+            MultiBranch(())
+
     @pytest.mark.parametrize("token", ["pq(3,5)", "sg(4,5)", "sg(1)", "E7", "D9", "branches[A2;node]"])
     def test_verify_agrees_with_epsilon(self, token):
         sing = parse_singularity(token)
@@ -428,3 +443,19 @@ class TestDescriptorContract:
             "reason": "enumeration window 11 exceeds max-window 5",
         }
         assert PlanarPQ(3, 5).verify(max_window=11)["value"] == 7
+
+    def test_window_skip_builds_no_gap_list(self):
+        # the window is frobenius + genus, read off the 1000 Apéry members
+        # of <1000,1001>; its 499500 gaps would take about 23 MiB
+        numsg._semigroup.cache_clear()
+        tracemalloc.start()
+        try:
+            result = PlanarPQ(1000, 1001).verify(max_window=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == {
+            "skipped": True,
+            "reason": "enumeration window 1498499 exceeds max-window 3",
+        }
+        assert peak < 2 ** 20

@@ -134,7 +134,11 @@ class TestClassicalFacts:
         bound = s.frobenius + 2
         members = naive_members(gens, bound)
         assert set(s.gap_set) == set(range(bound)) - members
-        assert s.gap_set == reachability_gap_sieve(gens)
+        gaps = reachability_gap_sieve(gens)
+        assert s.gap_set == gaps
+        # Selmer's formulas read both off the Apéry set, not off the gap list
+        assert s.genus == len(gaps)
+        assert s.frobenius == max(gaps, default=-1)
 
 
 class TestAperyForm:
@@ -229,7 +233,9 @@ class TestSharedInstances:
 
     def test_a_new_semigroup_computes_one_apery_set(self, monkeypatch):
         calls = self.count_apery_calls(monkeypatch)
-        semigroup_from_generators((7, 9))
+        s = semigroup_from_generators((7, 9))
+        assert (s.genus, s.frobenius, len(s.gap_set)) == (24, 47, 24)
+        assert s.minimal_generators == (7, 9) and 47 not in s
         assert calls == [(7, 9)]
 
     def test_necklace_roundtrip_computes_no_gap_set(self, monkeypatch):

@@ -117,6 +117,10 @@ class TestEulerProduct:
     def test_negative_exponent_counts_partitions(self):
         assert list(euler_product(-1, 6).coeffs) == [1, 1, 2, 3, 5, 7]
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            euler_product(-24, 0)
+
     @pytest.mark.parametrize("order", [1, 2, 30, 80])
     @pytest.mark.parametrize("exponent", [-24, -7, -1, 0, 1, 2, 5, 24])
     def test_matches_factor_by_factor_oracle(self, exponent, order):
@@ -167,3 +171,7 @@ class TestTruncatedSeries:
 
     def test_order_is_length(self):
         assert S(1, 2, 3).order == 3
+
+    def test_mul_operator_is_series_mul(self):
+        a = TruncatedSeries((1, 2, 3))
+        assert a * a == series_mul(a, a) == S(1, 4, 10)

@@ -129,6 +129,12 @@ class TestClosureCheck:
         with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
             GammaModule(semigroup_from_generators((2, 3)), (1.0,))
 
+    @pytest.mark.parametrize("gaps", [(1, 0, 2, 3), (-1, 0, 1, 2)])
+    def test_gap_set_must_be_sorted_and_non_negative(self, gaps):
+        # as a set, (1, 0, 2, 3) is a module over <3,5>
+        with pytest.raises(ValueError, match="sorted distinct non-negative"):
+            GammaModule(semigroup_from_generators((3, 5)), gaps)
+
 
 class TestAperyForm:
     @pytest.mark.parametrize("gens", [*SMALL_PAIRS, (4, 6, 9)],
@@ -176,6 +182,10 @@ class TestNormalizeTranslate:
     def test_non_integer_gap_is_not_truncated(self):
         with pytest.raises(TypeError):
             normalize_translate([0.5], semigroup_from_generators({1}))
+
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            normalize_translate([-1, 0, 1], semigroup_from_generators({3, 5}))
 
     def test_translation_uniqueness(self):
         # shifting a normalized module by any n >= 1 breaks the cogenus
@@ -246,6 +256,10 @@ class TestCountNecklaces:
     def test_gcd_failure(self):
         with pytest.raises(ValueError):
             count_necklaces(4, 6)
+
+    def test_non_positive_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            count_necklaces(1, 0)
 
     def test_matches_direct_orbit_count(self):
         for p, q in BIJECTION_PAIRS:
