@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .invariants import (
+    _INTEGER,
     CurveSpecError,
     _int_values,
     check_genus_sum,
@@ -29,7 +29,7 @@ from .semimodule import enumerate_delta_sets, minimal_generators
 
 def _nonneg(text: str) -> int:
     # the integer syntax of sg(…): int() would also take '+3', '1_0' and '٣'
-    if re.fullmatch(r"-?[0-9]+", text) is None:
+    if _INTEGER.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if text.startswith("-"):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
@@ -37,27 +37,26 @@ def _nonneg(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # global flags, before and after the subcommand: SUPPRESS leaves an absent
+    # flag's value alone, so main supplies the defaults and the last one wins
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS, help="emit JSON"
+    )
+    common.add_argument(
+        "--max-window",
+        type=_nonneg,
+        default=argparse.SUPPRESS,
+        metavar="N",
+        help="skip --verify enumerations whose search window exceeds N",
+    )
     parser = argparse.ArgumentParser(
         prog="k3count",
         description=(
             "Rational-curve counts on K3 surfaces: coefficients e(g), the "
             "epsilon invariant of curve singularities, and curve multiplicities."
         ),
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument(
-        "--max-window",
-        type=_nonneg,
-        default=None,
-        metavar="N",
-        help="skip --verify enumerations whose search window exceeds N",
-    )
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # pre-subcommand value when the post-subcommand flag is absent
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument(
-        "--max-window", type=_nonneg, default=argparse.SUPPRESS, metavar="N"
+        parents=[common],
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -160,7 +159,7 @@ def _cmd_check(args) -> tuple:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact values may run past 4300 digits
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(json=False, max_window=None))
     try:
         code, record, lines = args.func(args)
         # rendering stays inside the try: a failed write to stdout, such as

@@ -218,8 +218,8 @@ def branches_of_ade(sing: Ade) -> list[PlanarPQ]:
     """Decompose a simple singularity into planar unibranch leaves.
 
     A_even is already unibranch of type (2, n+1); A_odd is two smooth
-    branches; D_n is an A_(n-3) point plus a transversal smooth branch,
-    applied recursively; E_7 is a cusp plus its tangent line.
+    branches; D_n is an A_(n-3) point plus a transversal smooth branch;
+    E_7 is a cusp plus its tangent line.
     """
     fam, n = sing.family, sing.index
     smooth = PlanarPQ(1, 1)
@@ -228,7 +228,7 @@ def branches_of_ade(sing: Ade) -> list[PlanarPQ]:
             return [PlanarPQ(2, n + 1)]
         return [smooth, smooth]
     if fam == "D":
-        return branches_of_ade(Ade("A", n - 3)) + [smooth]
+        return [PlanarPQ(2, n - 2), smooth] if n % 2 else [smooth, smooth, smooth]
     if n == 6:
         return [PlanarPQ(3, 4)]
     if n == 7:
@@ -294,11 +294,12 @@ def check_genus_sum(curves, g: int) -> GenusSumReport:
 
 _HEAD = re.compile(r"\s*(?:(node)|([ADE])([0-9]+)|(pq|sg)\(([^()\[\]]*)\)|(branches)\[)")
 _SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _int_values(body: str, token: str) -> list[int]:
     items = [piece.strip() for piece in body.split(",")]
-    if not all(re.fullmatch(r"-?[0-9]+", piece) for piece in items):
+    if not all(_INTEGER.fullmatch(piece) for piece in items):
         raise CurveSpecError(f"expected a comma-separated integer list in {token!r}")
     return [int(piece) for piece in items]
 

@@ -195,14 +195,7 @@ class NecklaceProfile(Record):
     def __init__(self, p: int, q: int, members) -> None:
         p, q = require_coprime(p, q)
         members = tuple(map(index, members))
-        n = p + q
-        if len(members) != p:
-            raise ValueError(f"member set must have exactly {p} elements")
-        if list(members) != sorted(set(members)):
-            raise ValueError("members must be sorted and distinct")
-        if members and not (1 <= members[0] and members[-1] <= n):
-            raise ValueError(f"members must lie in 1..{n}")
-        word = _word(members, n)
+        word = _member_word(members, p, q)
         if _least_rotation(word) != 0:
             raise ValueError("members must be the least rotation of the class")
         a = _offsets(word, p, q)
@@ -211,6 +204,18 @@ class NecklaceProfile(Record):
         shift = sum(a[i - 1] // p for i in members) - (p - 1) * (q - 1) // 2
         a_seq = tuple([v - shift for v in a])
         vars(self).update(p=p, q=q, members=members, a_seq=a_seq)
+
+
+def _member_word(members, p: int, q: int) -> bytes:
+    """The word of ``members``, which must be a sorted p-subset of {1..p+q}."""
+    n = p + q
+    if len(members) != p:
+        raise ValueError(f"member set must have exactly {p} elements")
+    if list(members) != sorted(set(members)):
+        raise ValueError("members must be sorted and distinct")
+    if members and not (1 <= members[0] and members[-1] <= n):
+        raise ValueError(f"members must lie in 1..{n}")
+    return _word(members, n)
 
 
 def _word(members, n: int) -> bytes:
@@ -253,7 +258,7 @@ def _offsets(word: bytes, p: int, q: int) -> list[int]:
 
 
 def necklace_to_delta(members, p: int, q: int) -> GammaModule:
-    """Run the offset recurrence on a p-subset of {1..p+q} and read off Delta.
+    """Run the offset recurrence on a p-subset of {1..p+q}, in any order.
 
     The start value p*q keeps every intermediate offset non-negative (at
     most q downward steps of size p can precede anything).  The offsets
@@ -264,13 +269,8 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     """
     p, q = require_coprime(p, q)
     gamma = semigroup_from_generators((p, q))
-    chosen = sorted({index(i) for i in members})
-    n = p + q
-    if len(chosen) != p:
-        raise ValueError(f"need exactly {p} members, got {len(chosen)}")
-    if chosen and not (1 <= chosen[0] and chosen[-1] <= n):
-        raise ValueError(f"members must lie in 1..{n}")
-    a = _offsets(_word(chosen, n), p, q)
+    chosen = sorted(map(index, members))
+    a = _offsets(_member_word(chosen, p, q), p, q)
     starts = [a[s - 1] for s in chosen]
     assert min(a) >= 0 and len({v % p for v in starts}) == p
     return _translate(starts, p, gamma)

@@ -41,7 +41,6 @@ RECURSIONS = {
     "semimodule.walk": "one frame per window position, frobenius + genus (ROADMAP item 2)",
     "invariants._parse": "one frame per branches[ level of the token (ROADMAP item 4)",
     "invariants.verify": "MultiBranch.verify: one frame per nesting level (ROADMAP item 4)",
-    "invariants.branches_of_ade": "D_n recurses once, into A_(n-3): depth 2",
 }
 
 

@@ -289,9 +289,15 @@ class TestNecklaceToDelta:
                 base = necklace_to_delta(S, p, q).gap_set
                 assert necklace_to_delta(rotated(S, 1, n), p, q).gap_set == base
 
-    def test_wrong_size_rejected(self):
+    @pytest.mark.parametrize("members,p,q", [
+        ({1, 2, 3}, 2, 3), ([1, 1, 2, 4], 3, 5), ([1, 1, 2], 3, 5),
+    ], ids=["three-of-two", "four-with-a-repeat", "three-with-a-repeat"])
+    def test_wrong_size_rejected(self, members, p, q):
         with pytest.raises(ValueError):
-            necklace_to_delta({1, 2, 3}, 2, 3)
+            necklace_to_delta(members, p, q)
+
+    def test_any_order_accepted(self):
+        assert necklace_to_delta([4, 1, 2], 3, 5) == necklace_to_delta((1, 2, 4), 3, 5)
 
     def test_gcd_failure(self):
         with pytest.raises(ValueError):
