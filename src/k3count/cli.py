@@ -36,9 +36,9 @@ def _nonneg(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # global flags, before and after the subcommand: SUPPRESS leaves an absent
-    # flag's value alone, so main supplies the defaults and the last one wins
+def _parse_args(argv) -> argparse.Namespace:
+    # global flags, before and after the subcommand: with SUPPRESS an absent flag
+    # keeps its default from the starting namespace below, and the last one wins
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", default=argparse.SUPPRESS, help="emit JSON"
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--g", type=_nonneg, required=True, help="genus to check")
     p_check.set_defaults(func=_cmd_check)
 
-    return parser
+    return parser.parse_args(argv, argparse.Namespace(json=False, max_window=None))
 
 
 def _cmd_eg(args) -> tuple:
@@ -159,7 +159,7 @@ def _cmd_check(args) -> tuple:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact values may run past 4300 digits
-    args = build_parser().parse_args(argv, argparse.Namespace(json=False, max_window=None))
+    args = _parse_args(argv)
     try:
         code, record, lines = args.func(args)
         # rendering stays inside the try: a failed write to stdout, such as

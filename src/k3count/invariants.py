@@ -223,12 +223,9 @@ def branches_of_ade(sing: Ade) -> list[PlanarPQ]:
     """
     fam, n = sing.family, sing.index
     smooth = PlanarPQ(1, 1)
-    if fam == "A":
-        if n % 2 == 0:
-            return [PlanarPQ(2, n + 1)]
-        return [smooth, smooth]
-    if fam == "D":
-        return [PlanarPQ(2, n - 2), smooth] if n % 2 else [smooth, smooth, smooth]
+    if fam in ("A", "D"):
+        k, extra = (n, []) if fam == "A" else (n - 3, [smooth])
+        return ([PlanarPQ(2, k + 1)] if k % 2 == 0 else [smooth, smooth]) + extra
     if n == 6:
         return [PlanarPQ(3, 4)]
     if n == 7:
