@@ -252,12 +252,12 @@ def multiplicity(curve: CurveRecord) -> int:
 
 
 class GenusSumReport(Record):
-    """Outcome of comparing a curve list against the predicted count."""
+    """Outcome of comparing a curve list with the predicted count; ``equal`` is derived."""
 
     _fields = ("sum", "expected", "equal")
 
-    def __init__(self, sum: int, expected: int, equal: bool) -> None:
-        vars(self).update(sum=sum, expected=expected, equal=equal)
+    def __init__(self, sum: int, expected: int) -> None:
+        vars(self).update(sum=sum, expected=expected, equal=sum == expected)
 
 
 def check_genus_sum(curves, g: int) -> GenusSumReport:
@@ -271,7 +271,7 @@ def check_genus_sum(curves, g: int) -> GenusSumReport:
         raise ValueError("g must be non-negative")
     total = sum(c.multiplicity for c in curves)
     expected = yau_zaslow_coefficients(g)[g]
-    return GenusSumReport(sum=total, expected=expected, equal=total == expected)
+    return GenusSumReport(total, expected)
 
 
 # --- singularity mini-language -------------------------------------------

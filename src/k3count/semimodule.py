@@ -20,7 +20,10 @@ exactly, the rotation action being free because gcd(p, p+q) = 1.
 Both steps are +q modulo p+q, so a(k+1) = a(1) + k*q (mod p+q): the
 offsets run once through Z/(p+q) at stride q, and the members' offsets
 are the least members of D in each class mod p.  The inverse map puts
-each least member w at step w * q^-1 mod p+q of the word.
+each least member w at step w * q^-1 mod p+q of the word.  Both
+directions read the word through ``NecklaceProfile``, which takes any
+rotation of a class and stores the least one: each direction runs one
+rotation search.
 
 A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
 by ``apery``, its least member w in each class mod p; it is closed under
@@ -93,14 +96,6 @@ def _class_minima(gaps, p: int) -> list[int]:
     return least
 
 
-def _translate(least, p: int, s: NumericalSemigroup) -> GammaModule:
-    # The class of w holds w // p gaps.  A closed set holds w0 + Gamma, w0
-    # its least member, so it has at most w0 + genus gaps and no w - shift
-    # is negative; an open one fails the module's own checks.
-    shift = sum(w // p for w in least) - s.genus
-    return GammaModule(s, gaps_below([w - shift for w in least], p))
-
-
 def normalize_translate(gaps_of_raw_delta, s: NumericalSemigroup) -> GammaModule:
     """Slide a closed set Delta' to the unique translate with full cogenus.
 
@@ -112,7 +107,12 @@ def normalize_translate(gaps_of_raw_delta, s: NumericalSemigroup) -> GammaModule
     if gaps and gaps[0] < 0:
         raise ValueError("gap values must be non-negative")
     p = s.generators[0]
-    return _translate(_class_minima(gaps, p), p, s)
+    least = _class_minima(gaps, p)
+    # A closed set holds w0 + Gamma, w0 its least member, so it has at most
+    # w0 + genus gaps and no w - shift is negative; an open one fails the
+    # module's own checks.
+    shift = len(gaps) - s.genus
+    return GammaModule(s, gaps_below([w - shift for w in least], p))
 
 
 def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
@@ -184,20 +184,21 @@ def require_coprime(p: int, q: int) -> tuple[int, int]:
 class NecklaceProfile(Record):
     """A rotation class of p-subsets of {1..p+q} with its offset sequence.
 
-    ``members`` is the lexicographically smallest rotation of the class
-    (as a 0/1 characteristic word).  ``a_seq`` is computed from it: a(1..p+q)
-    for that rotation, translated so that the progressions a(s) + p*N over
-    s in members form the cogenus-normalized Delta directly.
+    ``members`` may be any rotation of the class; the profile stores the
+    lexicographically smallest one (as a 0/1 characteristic word), so two
+    rotations give equal profiles.  ``a_seq`` is computed for it: a(1..p+q),
+    translated so that the progressions a(s) + p*N over s in members form
+    the cogenus-normalized Delta directly.
     """
 
     _fields = ("p", "q", "members", "a_seq")
 
     def __init__(self, p: int, q: int, members) -> None:
         p, q = require_coprime(p, q)
-        members = tuple(map(index, members))
-        word = _member_word(members, p, q)
-        if _least_rotation(word) != 0:
-            raise ValueError("members must be the least rotation of the class")
+        word = _member_word(tuple(map(index, members)), p, q)
+        start = _least_rotation(word)
+        word = word[start:] + word[:start]
+        members = tuple(compress(range(1, p + q + 1), word))
         a = _offsets(word, p, q)
         # the members' offsets are Delta's least members mod p, and each
         # such w sits above w // p gaps: the normalized Delta has genus many
@@ -207,7 +208,7 @@ class NecklaceProfile(Record):
 
 
 def _member_word(members, p: int, q: int) -> bytes:
-    """The word of ``members``, which must be a sorted p-subset of {1..p+q}."""
+    """Word of ``members``, a sorted p-subset of {1..p+q}: byte i-1 is 1 iff i is in it."""
     n = p + q
     if len(members) != p:
         raise ValueError(f"member set must have exactly {p} elements")
@@ -215,11 +216,6 @@ def _member_word(members, p: int, q: int) -> bytes:
         raise ValueError("members must be sorted and distinct")
     if members and not (1 <= members[0] and members[-1] <= n):
         raise ValueError(f"members must lie in 1..{n}")
-    return _word(members, n)
-
-
-def _word(members, n: int) -> bytes:
-    """Characteristic word of a subset of {1..n}: byte i-1 is 1 iff i is in it."""
     word = bytearray(n)
     for i in members:
         word[i - 1] = 1
@@ -258,22 +254,15 @@ def _offsets(word: bytes, p: int, q: int) -> list[int]:
 
 
 def necklace_to_delta(members, p: int, q: int) -> GammaModule:
-    """Run the offset recurrence on a p-subset of {1..p+q}, in any order.
+    """The module of a p-subset of {1..p+q}, given in any order.
 
-    The start value p*q keeps every intermediate offset non-negative (at
-    most q downward steps of size p can precede anything).  The offsets
-    a(s), s in the subset, fill each class mod p once, so they are the
-    least members of the union of progressions; translating them gives
-    the unique cogenus-correct representative, so any rotation of the
-    same subset lands on the same module.
+    Its least members mod p are the member offsets of the subset's
+    profile, which are the same for every rotation of the subset.
     """
     p, q = require_coprime(p, q)
-    gamma = semigroup_from_generators((p, q))
-    chosen = sorted(map(index, members))
-    a = _offsets(_member_word(chosen, p, q), p, q)
-    starts = [a[s - 1] for s in chosen]
-    assert min(a) >= 0 and len({v % p for v in starts}) == p
-    return _translate(starts, p, gamma)
+    profile = NecklaceProfile(p, q, sorted(map(index, members)))
+    starts = [profile.a_seq[i - 1] for i in profile.members]
+    return GammaModule(semigroup_from_generators((p, q)), gaps_below(starts, p))
 
 
 def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
@@ -282,7 +271,7 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     The offsets of a class are Z/(p+q) read at stride q, and its members'
     offsets are Delta's least members mod p.  Step k reads residue k*q mod
     p+q, so the word is 1 at step w * q^-1 mod p+q for each least member w:
-    a rotation of the class, whose least rotation gives the subset.
+    a rotation of the class, which names its profile.
     """
     p, q = require_coprime(p, q)
     gamma = semigroup_from_generators((p, q))
@@ -293,11 +282,7 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     least = _class_minima(m.gap_set, p)
     n = p + q
     inv = pow(q, -1, n)
-    word = _word({w * inv % n + 1 for w in least}, n)
-    assert sum(word) == p  # the least members are offsets, distinct mod p+q
-    start = _least_rotation(word)
-    members = tuple(compress(range(1, n + 1), word[start:] + word[:start]))
-    profile = NecklaceProfile(p, q, members)  # a_seq by the forward recurrence
+    profile = NecklaceProfile(p, q, sorted(w * inv % n + 1 for w in least))
     # the forward map sends members back to m: their offsets are m's minima
-    assert {profile.a_seq[i - 1] for i in members} == set(least)
+    assert {profile.a_seq[i - 1] for i in profile.members} == set(least)
     return profile

@@ -295,6 +295,30 @@ class TestMultiplicity:
         assert [s["epsilon"] for s in payload["singularities"]] == [3, 3]
 
 
+# 100 levels of nesting, the cap planned for the parser: evaluating and
+# rendering recurse once per level as parsing does, and must answer here.
+DEEP_TOKEN = "branches[" * 100 + "pq(2,3);A1" + "]" * 100
+
+
+class TestDeepToken:
+    @pytest.mark.parametrize("argv", [
+        ("epsilon", DEEP_TOKEN),
+        ("epsilon", DEEP_TOKEN, "--verify"),
+        ("--json", "epsilon", DEEP_TOKEN, "--verify"),
+        ("multiplicity", DEEP_TOKEN),
+        ("--json", "multiplicity", DEEP_TOKEN),
+    ], ids=["epsilon", "verify", "verify-json", "multiplicity", "multiplicity-json"])
+    def test_depth_100_answers(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if "--json" not in argv:
+            assert out.splitlines()[0] in ("epsilon = 2", f"{DEEP_TOKEN}: epsilon = 2")
+            return
+        payload = json.loads(out)
+        sing = payload["singularities"][0] if "singularities" in payload else payload
+        assert (sing["token"], sing["epsilon"]) == (DEEP_TOKEN, 2)
+
+
 class TestCheck:
     def test_match_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "curves.txt"

@@ -36,7 +36,7 @@ RECORDS = [
     (CurveRecord, {"label": "line 1", "singularities": (Ade("E", 8), NODE)},
      "CurveRecord(label='line 1', singularities=(Ade(family='E', index=8), "
      "MultiBranch(branches=(PlanarPQ(p=1, q=1), PlanarPQ(p=1, q=1)))))"),
-    (GenusSumReport, {"sum": 24, "expected": 24, "equal": True},
+    (GenusSumReport, {"sum": 24, "expected": 24},
      "GenusSumReport(sum=24, expected=24, equal=True)"),
 ]
 
@@ -79,7 +79,14 @@ def test_fields_cannot_be_assigned_or_deleted(record):
 
 def test_unequal_values_differ():
     assert PlanarPQ(2, 3) != PlanarPQ(3, 2)
-    assert GenusSumReport(1, 2, False) != GenusSumReport(1, 3, False)
+    assert GenusSumReport(1, 2) != GenusSumReport(1, 3)
+
+
+def test_genus_sum_report_derives_equal():
+    assert GenusSumReport(24, 24).equal is True
+    assert GenusSumReport(323, 324).equal is False
+    with pytest.raises(TypeError):
+        GenusSumReport(24, 24, False)
 
 
 @pytest.mark.parametrize("value", [
