@@ -23,7 +23,6 @@ from .invariants import (
     epsilon_ade,
     epsilon_pq,
     epsilon_semigroup,
-    format_singularity,
     multiplicity,
     parse_curve,
     parse_curve_file,
@@ -83,7 +82,6 @@ __all__ = [
     "epsilon_pq",
     "epsilon_semigroup",
     "euler_product",
-    "format_singularity",
     "minimal_generators",
     "multiplicity",
     "necklace_to_delta",

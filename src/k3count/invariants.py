@@ -16,7 +16,7 @@ its epsilon (``method``) and the independent one that checks it
 * ``Ade``: a lookup table for the simple singularities, checked by the
   product over the planar branches each decomposes into;
 * ``MultiBranch``: the product over its branches, checked by verifying
-  each branch.
+  each branch in turn; the first skipped branch ends the check.
 
 A smooth branch is the degenerate planar point with p = q = 1 and has
 epsilon 1; a node is two transversal smooth branches and also counts 1.
@@ -181,11 +181,13 @@ class MultiBranch(Singularity, Record):
         return prod(b.epsilon for b in self.branches)
 
     def verify(self, max_window: int | None = None) -> dict:
-        results = [b.verify(max_window) for b in self.branches]
-        for r in results:
-            if r.get("skipped"):
-                return r
-        return {"method": "per-branch", "value": prod(r["value"] for r in results)}
+        value = 1
+        for b in self.branches:
+            result = b.verify(max_window)
+            if result.get("skipped"):
+                return result
+            value *= result["value"]
+        return {"method": "per-branch", "value": value}
 
     def __str__(self) -> str:
         return "branches[" + ";".join(str(b) for b in self.branches) + "]"
@@ -372,8 +374,3 @@ def parse_curve_file(text: str) -> list[CurveRecord]:
         except ValueError as exc:
             raise type(exc)(f"{label}: {exc}") from exc
     return curves
-
-
-def format_singularity(sing: Singularity) -> str:
-    """Canonical mini-language rendering of a descriptor, ``str(sing)``."""
-    return str(sing)

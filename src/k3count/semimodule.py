@@ -69,11 +69,6 @@ class GammaModule(Record):
                     )
         vars(self).update(semigroup=semigroup, gap_set=gaps, apery=tuple(least))
 
-    @property
-    def min_element(self) -> int:
-        """Smallest member of Delta; at most genus, since all below are gaps."""
-        return min(self.apery)
-
     def __contains__(self, n: int) -> bool:
         # a negative n falls below the least member of its class
         return n >= self.apery[n % len(self.apery)]

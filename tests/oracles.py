@@ -3,8 +3,8 @@
 Everything here is deliberately naive and shares no code with the
 package: coin-change dynamic programming, plain convolution loops, the
 Euler product built factor by factor, the pentagonal-number sign series,
-a straightforward reachability sieve, member-by-member scans and a
-least rotation found by trying every start.
+a straightforward reachability sieve, the semigroup tree built on it,
+member-by-member scans and a least rotation found by trying every start.
 """
 
 from __future__ import annotations
@@ -121,6 +121,36 @@ def reachability_gap_sieve(gens) -> tuple[int, ...]:
         member.append(reachable)
         run = run + 1 if reachable else 0
     return tuple(i for i, ok in enumerate(member) if not ok)
+
+
+def semigroup_tree(max_genus: int) -> list[list[tuple[int, ...]]]:
+    """Minimal generators of every numerical semigroup, one list per genus 0..max_genus.
+
+    The tree starts at N = <1>.  The children of S are S minus one minimal
+    generator x above the Frobenius number; each is generated by the other
+    minimal generators, x plus each of them, 2x and 3x.  Every semigroup
+    of genus g sits once at depth g: its parent adds back its Frobenius
+    number.
+    """
+    levels = [[(1,)]]
+    for _ in range(max_genus):
+        children = []
+        for gens in levels[-1]:
+            frobenius = max(reachability_gap_sieve(gens), default=-1)
+            for x in [g for g in gens if g > frobenius]:
+                others = [g for g in gens if g != x]
+                children.append(_scan_minimal([*others, *(x + g for g in others), 2 * x, 3 * x]))
+        levels.append(children)
+    return levels
+
+
+def _scan_minimal(gens) -> tuple[int, ...]:
+    """The generators that are not a sum of two nonzero members."""
+    gaps = set(reachability_gap_sieve(gens))
+    return tuple(sorted(
+        g for g in set(gens)
+        if not any(s not in gaps and g - s not in gaps for s in range(1, g))
+    ))
 
 
 def scan_minimal_generators(semigroup_gaps, module_gaps) -> tuple[int, ...]:

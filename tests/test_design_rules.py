@@ -62,3 +62,54 @@ def _self_calls():
 
 def test_every_recursion_is_allowlisted():
     assert _self_calls() == set(RECURSIONS)
+
+
+# Each function, method or property in src/ that nothing else in src/ names,
+# and the reader it is kept for.
+UNREFERENCED = {
+    "qseries.series_one": "acceptance-suite API (tests/test_acceptance.py)",
+    "qseries.series_inv": "acceptance-suite API (tests/test_acceptance.py)",
+    "semimodule.necklace_to_delta": "acceptance-suite API (tests/test_acceptance.py)",
+    "semimodule.delta_to_necklace": "acceptance-suite API (tests/test_acceptance.py)",
+    "invariants.delta": "Singularity.delta and its overrides: check's total delta against g (ROADMAP item 4)",
+    "semimodule.normalize_translate": "maps Gamma + U to its module for the antichain count (ROADMAP item 3)",
+}
+
+
+def _unreferenced():
+    """``module.name`` for every non-dunder def in src/ whose name src/ never reads.
+
+    A read is a ``Name``, an ``Attribute`` or an imported name anywhere in
+    src/ outside ``__init__.py``, whose imports only re-export; a reference
+    inside the function's own body counts.
+    """
+    defined, read = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                defined.add((path.stem, node.name))
+            elif path.name == "__init__.py":
+                continue
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return {f"{module}.{name}" for module, name in defined if name not in read}
+
+
+def test_every_unreferenced_name_is_allowlisted():
+    assert _unreferenced() == set(UNREFERENCED)
+
+
+def test_exports_are_exactly_the_imported_names():
+    tree = ast.parse(Path(k3count.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(k3count.__all__) == imported
+    assert len(k3count.__all__) == len(imported)
+    assert all(hasattr(k3count, name) for name in k3count.__all__)

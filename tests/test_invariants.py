@@ -22,7 +22,6 @@ from k3count.invariants import (
     epsilon_ade,
     epsilon_pq,
     epsilon_semigroup,
-    format_singularity,
     multiplicity,
     parse_curve,
     parse_curve_file,
@@ -364,7 +363,7 @@ class TestParser:
         for token in ["A3", "E8", "pq(3,5)", "sg(4,6,9)",
                       "branches[pq(2,3);pq(1,1)]"]:
             sing = parse_singularity(token)
-            assert parse_singularity(format_singularity(sing)) == sing
+            assert parse_singularity(str(sing)) == sing
 
     def test_deep_nesting_parses(self):
         sing = parse_singularity("branches[" * 700 + "A1" + "]" * 700)
@@ -392,7 +391,7 @@ class TestParser:
     def test_rendered_tree_round_trips(self, tree, before, after):
         sing, text = tree
         assert parse_singularity(before + text + after) == sing
-        assert parse_singularity(format_singularity(sing)) == sing
+        assert parse_singularity(str(sing)) == sing
 
     @given(st.lists(st.tuples(SPACES, TREES, SPACES), min_size=1, max_size=4))
     @settings(derandomize=True, max_examples=50, deadline=None)
@@ -443,6 +442,17 @@ class TestDescriptorContract:
             "reason": "enumeration window 11 exceeds max-window 5",
         }
         assert PlanarPQ(3, 5).verify(max_window=11)["value"] == 7
+
+    def test_multibranch_verify_stops_at_first_skip(self, monkeypatch):
+        # the first skipped branch is the answer, so no later branch is verified
+        def refuse(self, max_window=None):
+            raise AssertionError(f"{self} verified after a skipped branch")
+
+        monkeypatch.setattr(Ade, "verify", refuse)
+        assert MultiBranch((PlanarPQ(3, 5), Ade("E", 8))).verify(max_window=5) == {
+            "skipped": True,
+            "reason": "enumeration window 11 exceeds max-window 5",
+        }
 
     def test_window_skip_builds_no_gap_list(self):
         # the window is frobenius + genus, read off the 1000 Apéry members
