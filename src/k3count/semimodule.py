@@ -19,16 +19,21 @@ exactly, the rotation action being free because gcd(p, p+q) = 1.
 
 Both steps are +q modulo p+q, so a(k+1) = a(1) + k*q (mod p+q): the
 offsets run once through Z/(p+q) at stride q, and the members' offsets
-are the least members of D in each class mod p.  The inverse map puts
-each least member w at step w * q^-1 mod p+q of the word.  Both
-directions read the word through ``NecklaceProfile``, which takes any
-rotation of a class and stores the least one: each direction runs one
+are the least members of D in each class mod p.  With j members before
+i, a(i) = p*q - p*(i-1) + (p+q)*j, so the forward map reads those
+offsets in closed form, with no word and no rotation search.  The
+inverse map puts each least member w at step w * q^-1 mod p+q of the
+word and reads it through ``NecklaceProfile``, which takes any rotation
+of a class and stores the least one: only this direction runs a
 rotation search.
 
 A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
 by ``apery``, its least member w in each class mod p; it is closed under
 another generator g exactly when each w + g is a member (Kunz's
-inequality).  Translation shifts these p numbers and keeps closure.
+inequality), and it has sum(w // p) gaps (Selmer).  Translation shifts
+these p numbers and keeps closure.  ``GammaModule._of_apery`` builds a
+module from them with the checks of the public constructor, which takes
+a gap set.
 """
 
 from __future__ import annotations
@@ -59,15 +64,37 @@ class GammaModule(Record):
                 f"cogenus {len(gaps)} differs from the semigroup genus "
                 f"{semigroup.genus}"
             )
-        p, *others = semigroup.generators
-        least = _class_minima(gaps, p)
-        for w in least:
-            for g in others:
-                if w + g < least[(w + g) % p]:
-                    raise InvalidModuleError(
-                        f"not closed: {w} is a member but {w} + {g} is a gap"
-                    )
+        least = _class_minima(gaps, semigroup.generators[0])
+        _require_closed(least, semigroup)
         vars(self).update(semigroup=semigroup, gap_set=gaps, apery=tuple(least))
+
+    @classmethod
+    def _of_apery(cls, semigroup: NumericalSemigroup, least) -> GammaModule:
+        """The module whose least member in class r mod p is ``least[r]``.
+
+        p is the smallest generator.  The minima get every check the gap
+        set gets in ``__init__``: one per class and none negative, cogenus
+        by Selmer's formula, closure by Kunz's inequalities.  The gap list
+        is built from them, so it is sorted, distinct and +p closed.
+        """
+        p = semigroup.generators[0]
+        least = tuple(least)
+        if [w % p for w in least] != list(range(p)):
+            raise InvalidModuleError(f"need one least member per class mod {p}, in order")
+        # redundant with the next two checks (a closed set holding a negative
+        # w0 holds w0 + Gamma, so its count falls below genus), but it names
+        # the fault
+        if min(least) < 0:
+            raise InvalidModuleError(f"least members must be non-negative, got {least}")
+        cogenus = sum(w // p for w in least)
+        if cogenus != semigroup.genus:
+            raise InvalidModuleError(
+                f"cogenus {cogenus} differs from the semigroup genus {semigroup.genus}"
+            )
+        _require_closed(least, semigroup)
+        m = cls.__new__(cls)
+        vars(m).update(semigroup=semigroup, gap_set=gaps_below(least, p), apery=least)
+        return m
 
     def __contains__(self, n: int) -> bool:
         # a negative n falls below the least member of its class
@@ -75,6 +102,17 @@ class GammaModule(Record):
 
     def __str__(self) -> str:
         return "gaps={" + ",".join(str(g) for g in self.gap_set) + "}"
+
+
+def _require_closed(least, semigroup: NumericalSemigroup) -> None:
+    """Kunz's inequalities: each w + g is a member, g any generator but p."""
+    p, *others = semigroup.generators
+    for w in least:
+        for g in others:
+            if w + g < least[(w + g) % p]:
+                raise InvalidModuleError(
+                    f"not closed: {w} is a member but {w} + {g} is a gap"
+                )
 
 
 def _class_minima(gaps, p: int) -> list[int]:
@@ -107,7 +145,8 @@ def normalize_translate(gaps_of_raw_delta, s: NumericalSemigroup) -> GammaModule
     # w0 + genus gaps and no w - shift is negative; an open one fails the
     # module's own checks.
     shift = len(gaps) - s.genus
-    return GammaModule(s, gaps_below([w - shift for w in least], p))
+    k = shift % p  # class r of the translate is class r + shift of the input
+    return GammaModule._of_apery(s, [w - shift for w in least[k:] + least[:k]])
 
 
 def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
@@ -204,6 +243,15 @@ class NecklaceProfile(Record):
 
 def _member_word(members, p: int, q: int) -> bytes:
     """Word of ``members``, a sorted p-subset of {1..p+q}: byte i-1 is 1 iff i is in it."""
+    _require_members(members, p, q)
+    word = bytearray(p + q)
+    for i in members:
+        word[i - 1] = 1
+    return bytes(word)
+
+
+def _require_members(members, p: int, q: int) -> None:
+    """Raise ValueError unless ``members`` is a sorted p-subset of {1..p+q}."""
     n = p + q
     if len(members) != p:
         raise ValueError(f"member set must have exactly {p} elements")
@@ -211,10 +259,6 @@ def _member_word(members, p: int, q: int) -> bytes:
         raise ValueError("members must be sorted and distinct")
     if members and not (1 <= members[0] and members[-1] <= n):
         raise ValueError(f"members must lie in 1..{n}")
-    word = bytearray(n)
-    for i in members:
-        word[i - 1] = 1
-    return bytes(word)
 
 
 def _least_rotation(word: bytes) -> int:
@@ -251,13 +295,25 @@ def _offsets(word: bytes, p: int, q: int) -> list[int]:
 def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     """The module of a p-subset of {1..p+q}, given in any order.
 
-    Its least members mod p are the member offsets of the subset's
-    profile, which are the same for every rotation of the subset.
+    Its least members mod p are the member offsets, the same for every
+    rotation of the subset.  With j members before i, the recurrence gives
+    a(i) = p*q - p*(i-1) + (p+q)*j in closed form, so no word is read.
     """
     p, q = require_coprime(p, q)
-    profile = NecklaceProfile(p, q, sorted(map(index, members)))
-    starts = [profile.a_seq[i - 1] for i in profile.members]
-    return GammaModule(semigroup_from_generators((p, q)), gaps_below(starts, p))
+    members = sorted(map(index, members))
+    _require_members(members, p, q)
+    gamma = semigroup_from_generators((p, q))
+    n = p + q
+    a = [p * (q + 1 - i) + n * j for j, i in enumerate(members)]
+    # shifted to lie above exactly genus gaps, as in NecklaceProfile
+    shift = sum(w // p for w in a) - gamma.genus
+    if p != gamma.generators[0]:  # p > q: apery is taken mod q
+        return GammaModule(gamma, gaps_below([w - shift for w in a], p))
+    least = [0] * p
+    for w in a:
+        w -= shift
+        least[w % p] = w
+    return GammaModule._of_apery(gamma, least)
 
 
 def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
@@ -274,7 +330,8 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
         raise ValueError(
             f"module lives over {m.semigroup}, not over {gamma}"
         )
-    least = _class_minima(m.gap_set, p)
+    # m was checked when built: over <p,q> with p < q, apery is its minima mod p
+    least = m.apery if p == gamma.generators[0] else _class_minima(m.gap_set, p)
     n = p + q
     inv = pow(q, -1, n)
     profile = NecklaceProfile(p, q, sorted(w * inv % n + 1 for w in least))

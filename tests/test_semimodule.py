@@ -154,6 +154,39 @@ class TestAperyForm:
             assert -1 not in m
 
 
+class TestOfApery:
+    """``GammaModule._of_apery`` against the public constructor, on boxes of tuples."""
+
+    @pytest.mark.parametrize("gens", [(2, 3), (3, 5), (3, 4, 5), (4, 6, 9)],
+                             ids=lambda gens: ",".join(map(str, gens)))
+    def test_agrees_with_the_gap_set_constructor(self, gens):
+        s = semigroup_from_generators(gens)
+        p = s.generators[0]
+        modules = {m.apery: m for m in enumerate_delta_sets(s)}
+        # each minimum moved by -p, -1, 0, 1 or p: negatives, repeated
+        # classes, translates and open sets around every module
+        box = {
+            tuple([w + d for w, d in zip(apery, ds)])
+            for apery in modules
+            for ds in product((-p, -1, 0, 1, p), repeat=p)
+        }
+        for least in box:
+            if least in modules:
+                m = GammaModule._of_apery(s, least)
+                assert m == modules[least] and m.apery == least
+                continue
+            if [w % p for w in least] != list(range(p)):
+                message = "one least member per class"
+            elif min(least) < 0:
+                message = "must be non-negative"
+            else:
+                message = "cogenus|not closed"
+            with pytest.raises(InvalidModuleError, match=message):
+                GammaModule._of_apery(s, least)
+        assert any(min(least) < 0 for least in box)
+        assert any(len({w % p for w in least}) < p for least in box)
+
+
 class TestNormalizeTranslate:
     def test_all_of_n_over_two_three(self):
         s = semigroup_from_generators({2, 3})
@@ -186,6 +219,15 @@ class TestNormalizeTranslate:
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError, match="must be non-negative"):
             normalize_translate([-1, 0, 1], semigroup_from_generators({3, 5}))
+
+    @pytest.mark.parametrize("gens", [*SMALL_PAIRS, (3, 4, 5), (4, 6, 9)],
+                             ids=lambda gens: ",".join(map(str, gens)))
+    def test_every_translate_comes_back(self, gens):
+        s = semigroup_from_generators(gens)
+        for m in enumerate_delta_sets(s):
+            for n in range(1, 2 * s.generators[0] + 2):
+                shifted = tuple(range(n)) + tuple(g + n for g in m.gap_set)
+                assert normalize_translate(shifted, s) == m
 
     def test_translation_uniqueness(self):
         # shifting a normalized module by any n >= 1 breaks the cogenus
@@ -393,6 +435,25 @@ class TestDeltaToNecklace:
         assert digest.hexdigest() == (
             "ec55970455432fd04ea208e5c47da8ccada2653474ea8dfd4428f428d5f1bb9a"
         )
+
+    def test_forward_map_matches_the_profile(self):
+        # NecklaceProfile reads the subset's word by the recurrence and is the
+        # oracle for the closed-form offsets: the module's least members mod
+        # p are the profile's member offsets, for every p-subset, both orders
+        for n in range(2, 14):
+            for p in range(1, n):
+                q = n - p
+                if gcd(p, q) != 1:
+                    continue
+                for S in combinations(range(1, n + 1), p):
+                    gaps = set(necklace_to_delta(S, p, q).gap_set)
+                    least = set()
+                    for r in range(p):
+                        while r in gaps:
+                            r += p
+                        least.add(r)
+                    prof = NecklaceProfile(p, q, S)
+                    assert least == {prof.a_seq[i - 1] for i in prof.members}, (p, q, S)
 
     def test_mismatched_semigroup_rejected(self):
         s = semigroup_from_generators({2, 3})
