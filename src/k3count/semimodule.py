@@ -32,8 +32,8 @@ by ``apery``, its least member w in each class mod p; it is closed under
 another generator g exactly when each w + g is a member (Kunz's
 inequality), and it has sum(w // p) gaps (Selmer).  Translation shifts
 these p numbers and keeps closure.  ``GammaModule._of_apery`` builds a
-module from them with the checks of the public constructor, which takes
-a gap set.
+module from them, and the public constructor, which takes a gap set,
+works them out; both hand them to one check routine, ``_checked_apery``.
 """
 
 from __future__ import annotations
@@ -59,41 +59,20 @@ class GammaModule(Record):
         gaps = tuple(map(index, gap_set))
         if list(gaps) != sorted(set(gaps)) or (gaps and gaps[0] < 0):
             raise ValueError("gap set must be sorted distinct non-negative ints")
-        if len(gaps) != semigroup.genus:
-            raise InvalidModuleError(
-                f"cogenus {len(gaps)} differs from the semigroup genus "
-                f"{semigroup.genus}"
-            )
-        least = _class_minima(gaps, semigroup.generators[0])
-        _require_closed(least, semigroup)
-        vars(self).update(semigroup=semigroup, gap_set=gaps, apery=tuple(least))
+        least = _checked_apery(_class_minima(gaps, semigroup.generators[0]), semigroup)
+        vars(self).update(semigroup=semigroup, gap_set=gaps, apery=least)
 
     @classmethod
     def _of_apery(cls, semigroup: NumericalSemigroup, least) -> GammaModule:
         """The module whose least member in class r mod p is ``least[r]``.
 
-        p is the smallest generator.  The minima get every check the gap
-        set gets in ``__init__``: one per class and none negative, cogenus
-        by Selmer's formula, closure by Kunz's inequalities.  The gap list
-        is built from them, so it is sorted, distinct and +p closed.
+        p is the smallest generator.  The gap list is built from the checked
+        minima, so it is sorted, distinct and +p closed.
         """
-        p = semigroup.generators[0]
-        least = tuple(least)
-        if [w % p for w in least] != list(range(p)):
-            raise InvalidModuleError(f"need one least member per class mod {p}, in order")
-        # redundant with the next two checks (a closed set holding a negative
-        # w0 holds w0 + Gamma, so its count falls below genus), but it names
-        # the fault
-        if min(least) < 0:
-            raise InvalidModuleError(f"least members must be non-negative, got {least}")
-        cogenus = sum(w // p for w in least)
-        if cogenus != semigroup.genus:
-            raise InvalidModuleError(
-                f"cogenus {cogenus} differs from the semigroup genus {semigroup.genus}"
-            )
-        _require_closed(least, semigroup)
+        least = _checked_apery(least, semigroup)
         m = cls.__new__(cls)
-        vars(m).update(semigroup=semigroup, gap_set=gaps_below(least, p), apery=least)
+        gaps = gaps_below(least, semigroup.generators[0])
+        vars(m).update(semigroup=semigroup, gap_set=gaps, apery=least)
         return m
 
     def __contains__(self, n: int) -> bool:
@@ -104,15 +83,32 @@ class GammaModule(Record):
         return "gaps={" + ",".join(str(g) for g in self.gap_set) + "}"
 
 
-def _require_closed(least, semigroup: NumericalSemigroup) -> None:
-    """Kunz's inequalities: each w + g is a member, g any generator but p."""
+def _checked_apery(least, semigroup: NumericalSemigroup) -> tuple[int, ...]:
+    """``least`` as a tuple, if it is the Apéry tuple of a module over ``semigroup``.
+
+    One minimum per class mod p in order, none negative, cogenus by Selmer's
+    formula sum(w // p) = genus, and Kunz's inequalities: each w + g a member.
+    """
     p, *others = semigroup.generators
+    least = tuple(least)
+    if [w % p for w in least] != list(range(p)):
+        raise InvalidModuleError(f"need one least member per class mod {p}, in order")
+    # implied by the next two checks (a closed set holding a negative w0 holds
+    # w0 + Gamma, so it has too few gaps), but it names the fault
+    if min(least) < 0:
+        raise InvalidModuleError(f"least members must be non-negative, got {least}")
+    cogenus = sum(w // p for w in least)
+    if cogenus != semigroup.genus:
+        raise InvalidModuleError(
+            f"cogenus {cogenus} differs from the semigroup genus {semigroup.genus}"
+        )
     for w in least:
         for g in others:
             if w + g < least[(w + g) % p]:
                 raise InvalidModuleError(
                     f"not closed: {w} is a member but {w} + {g} is a gap"
                 )
+    return least
 
 
 def _class_minima(gaps, p: int) -> list[int]:

@@ -356,7 +356,7 @@ class TestParser:
         assert curves[1].label == "line 4"
 
     def test_empty_curve_rejected(self):
-        with pytest.raises(CurveSpecError):
+        with pytest.raises(CurveSpecError, match="empty curve description"):
             parse_curve("   ")
 
     def test_format_roundtrip(self):
@@ -440,6 +440,10 @@ class TestDescriptorContract:
         assert PlanarPQ(3, 5).verify(max_window=5) == {
             "skipped": True,
             "reason": "enumeration window 11 exceeds max-window 5",
+        }
+        assert PlanarPQ(3, 5).verify(max_window=10) == {
+            "skipped": True,
+            "reason": "enumeration window 11 exceeds max-window 10",
         }
         assert PlanarPQ(3, 5).verify(max_window=11)["value"] == 7
 

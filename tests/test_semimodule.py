@@ -230,13 +230,16 @@ class TestNormalizeTranslate:
                 assert normalize_translate(shifted, s) == m
 
     def test_translation_uniqueness(self):
-        # shifting a normalized module by any n >= 1 breaks the cogenus
+        # shifting a normalized module by any n >= 1 breaks the cogenus,
+        # which the gap-set constructor refuses, e.g. (0, 2) over <2,3>
         for p, q in SMALL_PAIRS:
             s = semigroup_from_generators({p, q})
             for m in enumerate_delta_sets(s):
                 for n in range(1, s.genus + 1):
                     shifted = tuple(range(n)) + tuple(g + n for g in m.gap_set)
                     assert len(shifted) != s.genus
+                    with pytest.raises(InvalidModuleError, match="cogenus"):
+                        GammaModule(s, shifted)
 
 
 class TestMinimalGenerators:
@@ -458,7 +461,7 @@ class TestDeltaToNecklace:
     def test_mismatched_semigroup_rejected(self):
         s = semigroup_from_generators({2, 3})
         module = GammaModule(s, s.gap_set)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lives over"):
             delta_to_necklace(module, 3, 5)
 
     def test_profile_offsets_describe_the_module(self):
