@@ -33,7 +33,7 @@ from operator import index as _index
 from ._record import Record
 from .numsg import NumericalSemigroup, semigroup_from_generators
 from .qseries import yau_zaslow_coefficients
-from .semimodule import count_necklaces, enumerate_delta_sets, require_coprime
+from .semimodule import _pair_semigroup, count_necklaces, enumerate_delta_sets, require_coprime
 
 
 class CurveSpecError(ValueError):
@@ -79,7 +79,7 @@ class PlanarPQ(Singularity, Record):
         return epsilon_pq(self.p, self.q)
 
     def verify(self, max_window: int | None = None) -> dict:
-        s = semigroup_from_generators((self.p, self.q))
+        s = _pair_semigroup(self.p, self.q)
         window = s.frobenius + s.genus
         if max_window is not None and window > max_window:
             return {

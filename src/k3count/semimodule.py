@@ -22,10 +22,10 @@ offsets run once through Z/(p+q) at stride q, and the members' offsets
 are the least members of D in each class mod p.  With j members before
 i, a(i) = p*q - p*(i-1) + (p+q)*j, so the forward map reads those
 offsets in closed form, with no word and no rotation search.  The
-inverse map puts each least member w at step w * q^-1 mod p+q of the
-word and reads it through ``NecklaceProfile``, which takes any rotation
-of a class and stores the least one: only this direction runs a
-rotation search.
+inverse map writes the word directly, a 1 at step w * q^-1 mod p+q for
+each least member w, through ``NecklaceProfile``'s unchecked path, which
+stores its least rotation: only this direction runs a rotation search.
+Neither runs the recurrence: a profile derives ``a_seq`` on first read.
 
 A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
 by ``apery``, its least member w in each class mod p; it is closed under
@@ -38,12 +38,13 @@ works them out; both hand them to one check routine, ``_checked_apery``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate, compress
 from math import comb, gcd
 from operator import index
 
 from ._record import Record
-from .numsg import NumericalSemigroup, gaps_below, semigroup_from_generators
+from .numsg import NumericalSemigroup, _semigroup, gaps_below
 
 
 class InvalidModuleError(ValueError):
@@ -211,39 +212,48 @@ def require_coprime(p: int, q: int) -> tuple[int, int]:
     return p, q
 
 
+def _pair_semigroup(p: int, q: int) -> NumericalSemigroup:
+    """The shared <p,q> for ints p, q that ``require_coprime`` has passed."""
+    return _semigroup((p, q) if p < q else (q, p) if q < p else (p,))
+
+
 class NecklaceProfile(Record):
     """A rotation class of p-subsets of {1..p+q} with its offset sequence.
 
     ``members`` may be any rotation of the class; the profile stores the
     lexicographically smallest one (as a 0/1 characteristic word), so two
-    rotations give equal profiles.  ``a_seq`` is computed for it: a(1..p+q),
-    translated so that the progressions a(s) + p*N over s in members form
-    the cogenus-normalized Delta directly.
+    rotations give equal profiles.  ``a_seq`` is derived for it on first
+    read: a(1..p+q), translated so that the progressions a(s) + p*N over s
+    in members form the cogenus-normalized Delta directly.
     """
 
     _fields = ("p", "q", "members", "a_seq")
 
     def __init__(self, p: int, q: int, members) -> None:
         p, q = require_coprime(p, q)
-        word = _member_word(tuple(map(index, members)), p, q)
+        members = tuple(map(index, members))
+        _require_members(members, p, q)
+        self._read(p, q, [i - 1 for i in members])
+
+    def _read(self, p: int, q: int, ones) -> NecklaceProfile:
+        """Store the least rotation of the p+q-letter word with 1s at ``ones``, unchecked."""
+        word = bytearray(p + q)
+        for k in ones:
+            word[k] = 1
         start = _least_rotation(word)
         word = word[start:] + word[:start]
         members = tuple(compress(range(1, p + q + 1), word))
-        a = _offsets(word, p, q)
+        vars(self).update(p=p, q=q, members=members, _word=word)
+        return self
+
+    @cached_property
+    def a_seq(self) -> tuple[int, ...]:
+        p, q = self.p, self.q
+        a = _offsets(self._word, p, q)
         # the members' offsets are Delta's least members mod p, and each
         # such w sits above w // p gaps: the normalized Delta has genus many
-        shift = sum(a[i - 1] // p for i in members) - (p - 1) * (q - 1) // 2
-        a_seq = tuple([v - shift for v in a])
-        vars(self).update(p=p, q=q, members=members, a_seq=a_seq)
-
-
-def _member_word(members, p: int, q: int) -> bytes:
-    """Word of ``members``, a sorted p-subset of {1..p+q}: byte i-1 is 1 iff i is in it."""
-    _require_members(members, p, q)
-    word = bytearray(p + q)
-    for i in members:
-        word[i - 1] = 1
-    return bytes(word)
+        shift = sum(a[i - 1] // p for i in self.members) - (p - 1) * (q - 1) // 2
+        return tuple([v - shift for v in a])
 
 
 def _require_members(members, p: int, q: int) -> None:
@@ -288,26 +298,28 @@ def _offsets(word: bytes, p: int, q: int) -> list[int]:
     return list(accumulate(map((-p, q).__getitem__, word[:-1]), initial=p * q))
 
 
+def _member_offsets(members, p: int, q: int, genus: int) -> list[int]:
+    """Offsets a(i) = p*q - p*(i-1) + (p+q)*j, j members before i, shifted as in ``a_seq``."""
+    a = [p * (q + 1 - i) + (p + q) * j for j, i in enumerate(members)]
+    shift = sum(w // p for w in a) - genus
+    return [w - shift for w in a]
+
+
 def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     """The module of a p-subset of {1..p+q}, given in any order.
 
     Its least members mod p are the member offsets, the same for every
-    rotation of the subset.  With j members before i, the recurrence gives
-    a(i) = p*q - p*(i-1) + (p+q)*j in closed form, so no word is read.
+    rotation of the subset.
     """
     p, q = require_coprime(p, q)
     members = sorted(map(index, members))
     _require_members(members, p, q)
-    gamma = semigroup_from_generators((p, q))
-    n = p + q
-    a = [p * (q + 1 - i) + n * j for j, i in enumerate(members)]
-    # shifted to lie above exactly genus gaps, as in NecklaceProfile
-    shift = sum(w // p for w in a) - gamma.genus
+    gamma = _pair_semigroup(p, q)
+    a = _member_offsets(members, p, q, gamma.genus)
     if p != gamma.generators[0]:  # p > q: apery is taken mod q
-        return GammaModule(gamma, gaps_below([w - shift for w in a], p))
+        return GammaModule(gamma, gaps_below(a, p))
     least = [0] * p
     for w in a:
-        w -= shift
         least[w % p] = w
     return GammaModule._of_apery(gamma, least)
 
@@ -318,19 +330,18 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     The offsets of a class are Z/(p+q) read at stride q, and its members'
     offsets are Delta's least members mod p.  Step k reads residue k*q mod
     p+q, so the word is 1 at step w * q^-1 mod p+q for each least member w:
-    a rotation of the class, which names its profile.
+    a rotation of the class, which names its profile with no member check.
     """
     p, q = require_coprime(p, q)
-    gamma = semigroup_from_generators((p, q))
+    gamma = _pair_semigroup(p, q)
     if m.semigroup is not gamma and m.semigroup.apery != gamma.apery:
-        raise ValueError(
-            f"module lives over {m.semigroup}, not over {gamma}"
-        )
+        raise ValueError(f"module lives over {m.semigroup}, not over {gamma}")
     # m was checked when built: over <p,q> with p < q, apery is its minima mod p
     least = m.apery if p == gamma.generators[0] else _class_minima(m.gap_set, p)
     n = p + q
     inv = pow(q, -1, n)
-    profile = NecklaceProfile(p, q, sorted(w * inv % n + 1 for w in least))
-    # the forward map sends members back to m: their offsets are m's minima
-    assert {profile.a_seq[i - 1] for i in profile.members} == set(least)
+    profile = NecklaceProfile.__new__(NecklaceProfile)._read(p, q, [w * inv % n for w in least])
+    # the forward map sends p members back to m: their offsets are m's minima
+    members = profile.members
+    assert len(members) == p and set(_member_offsets(members, p, q, gamma.genus)) == set(least)
     return profile

@@ -73,6 +73,7 @@ UNREFERENCED = {
     "semimodule.delta_to_necklace": "acceptance-suite API (tests/test_acceptance.py)",
     "invariants.delta": "Singularity.delta and its overrides: check's total delta against g (ROADMAP item 4)",
     "semimodule.normalize_translate": "maps Gamma + U to its module for the antichain count (ROADMAP item 3)",
+    "semimodule.a_seq": "NecklaceProfile field, read through _fields by Record's repr, == and hash",
 }
 
 

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3count import numsg
+from k3count import numsg, semimodule
 from k3count.numsg import NumericalSemigroup, semigroup_from_generators
 from k3count.semimodule import (
     GammaModule,
@@ -458,6 +458,16 @@ class TestDeltaToNecklace:
                     prof = NecklaceProfile(p, q, S)
                     assert least == {prof.a_seq[i - 1] for i in prof.members}, (p, q, S)
 
+    def test_forward_map_assertion_counts_the_members(self):
+        # a module forged past its checks, with least member 0 in every class
+        # of <3,5>, writes one letter; that member's offset is 0 again, so only
+        # the member count shows that the word lost two letters
+        forged = GammaModule.__new__(GammaModule)
+        vars(forged).update(semigroup=semigroup_from_generators((3, 5)), gap_set=(),
+                            apery=(0, 0, 0))
+        with pytest.raises(AssertionError):
+            delta_to_necklace(forged, 3, 5)
+
     def test_mismatched_semigroup_rejected(self):
         s = semigroup_from_generators({2, 3})
         module = GammaModule(s, s.gap_set)
@@ -491,6 +501,49 @@ class TestSharedSemigroups:
             assert str(semigroup_from_generators((1, 2))) == "⟨1,2⟩"
         finally:
             numsg._semigroup.cache_clear()
+
+    @pytest.mark.parametrize("p, q", [(3, 5), (5, 3), (1, 1), (1, 4)])
+    def test_forward_map_reads_the_shared_instance(self, p, q):
+        module = necklace_to_delta(range(1, p + 1), p, q)
+        assert module.semigroup is semigroup_from_generators({p, q})
+
+
+# what one round trip computes, counted by name: machine-independent, unlike its time
+COUNTED = {
+    semimodule: ("_least_rotation", "_require_members", "_offsets", "_class_minima"),
+    numsg: ("_normalized_generators",),
+}
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """A Counter of calls to each function named in ``COUNTED``."""
+    calls = Counter()
+    for module, names in COUNTED.items():
+        for name in names:
+            def counted(*args, _name=name, _call=getattr(module, name)):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("p, q", [(3, 5), (4, 7), (7, 9)])
+    def test_one_round_trip(self, work, p, q):
+        # one rotation search and one member-set check, both needed; no offset
+        # recurrence, class minima or generator normalization
+        necklace_to_delta(range(1, p + 1), p, q)  # fills the semigroup memo
+        for S in combinations(range(1, p + q + 1), p):
+            work.clear()
+            delta_to_necklace(necklace_to_delta(S, p, q), p, q)
+            assert work == {"_least_rotation": 1, "_require_members": 1}, S
+
+    def test_a_seq_is_derived_once_on_first_read(self, work):
+        profile = NecklaceProfile(7, 9, (1, 2, 4, 8, 9, 11, 15))
+        assert work["_offsets"] == 0
+        assert profile.a_seq is profile.a_seq
+        assert work["_offsets"] == 1
 
 
 class TestLeastRotation:
