@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     except (CurveSpecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an input too large for a list or comb
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,13 +18,11 @@ unchanged, so rotation classes count the sets: binomial(p+q,p)/(p+q)
 exactly, the rotation action being free because gcd(p, p+q) = 1.
 
 Both steps are +q modulo p+q, so a(k+1) = a(1) + k*q (mod p+q): the
-offsets run once through Z/(p+q) at stride q, and the members' offsets
-are the least members of D in each class mod p.  With j members before
-i, a(i) = p*q - p*(i-1) + (p+q)*j, so the forward map reads those
-offsets in closed form, with no word and no rotation search.  The
-inverse map writes the word directly, a 1 at step w * q^-1 mod p+q for
-each least member w, through ``NecklaceProfile``'s unchecked path, which
-stores its least rotation: only this direction runs a rotation search.
+offsets run once through Z/(p+q) at stride q.  In either order, the least
+members of D mod min(p, q) are the offsets at the steps of max(p, q): the
+forward map reads them in closed form, and the inverse writes the letter
+of those steps at w * q^-1 mod p+q for each least member w through
+``NecklaceProfile``'s unchecked path, which stores its least rotation.
 Neither runs the recurrence: a profile derives ``a_seq`` on first read.
 
 A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
@@ -233,13 +231,13 @@ class NecklaceProfile(Record):
         p, q = require_coprime(p, q)
         members = tuple(map(index, members))
         _require_members(members, p, q)
-        self._read(p, q, [i - 1 for i in members])
+        self._read(p, q, [i - 1 for i in members], 1)
 
-    def _read(self, p: int, q: int, ones) -> NecklaceProfile:
-        """Store the least rotation of the p+q-letter word with 1s at ``ones``, unchecked."""
-        word = bytearray(p + q)
-        for k in ones:
-            word[k] = 1
+    def _read(self, p: int, q: int, steps, letter: int) -> NecklaceProfile:
+        """Store the least rotation of the word with ``letter`` at just ``steps``, unchecked."""
+        word = bytearray([not letter]) * (p + q)
+        for k in steps:
+            word[k] = letter
         start = _least_rotation(word)
         word = word[start:] + word[:start]
         members = tuple(compress(range(1, p + q + 1), word))
@@ -298,50 +296,54 @@ def _offsets(word: bytes, p: int, q: int) -> list[int]:
     return list(accumulate(map((-p, q).__getitem__, word[:-1]), initial=p * q))
 
 
-def _member_offsets(members, p: int, q: int, genus: int) -> list[int]:
-    """Offsets a(i) = p*q - p*(i-1) + (p+q)*j, j members before i, shifted as in ``a_seq``."""
-    a = [p * (q + 1 - i) + (p + q) * j for j, i in enumerate(members)]
-    shift = sum(w // p for w in a) - genus
-    return [w - shift for w in a]
+def _least_offsets(members, p: int, q: int, genus: int) -> list[int]:
+    """Least members mod min(p, q) of the module of sorted ``members``, by class.
+
+    Up to one shift to cogenus ``genus`` they are a(i) = (p+q)*j - p*i, j
+    members before step i, at the steps of max(p, q): members if p < q, else the others.
+    """
+    n, m = p + q, min(p, q)
+    if p < q:
+        a = [n * j - p * i for j, i in enumerate(members)]
+    else:
+        a = [q * i - n * k for k, i in enumerate(sorted(set(range(1, n + 1)) - set(members)))]
+    shift = sum(w // m for w in a) - genus
+    least = [0] * m
+    for w in a:
+        least[(w - shift) % m] = w - shift
+    return least
 
 
 def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     """The module of a p-subset of {1..p+q}, given in any order.
 
-    Its least members mod p are the member offsets, the same for every
-    rotation of the subset.
+    Its least members mod min(p, q) are offsets of the subset, the same
+    for every rotation of it.
     """
     p, q = require_coprime(p, q)
     members = sorted(map(index, members))
     _require_members(members, p, q)
     gamma = _pair_semigroup(p, q)
-    a = _member_offsets(members, p, q, gamma.genus)
-    if p != gamma.generators[0]:  # p > q: apery is taken mod q
-        return GammaModule(gamma, gaps_below(a, p))
-    least = [0] * p
-    for w in a:
-        least[w % p] = w
-    return GammaModule._of_apery(gamma, least)
+    return GammaModule._of_apery(gamma, _least_offsets(members, p, q, gamma.genus))
 
 
 def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     """Recover the rotation class of a module over <p,q>.
 
-    The offsets of a class are Z/(p+q) read at stride q, and its members'
-    offsets are Delta's least members mod p.  Step k reads residue k*q mod
-    p+q, so the word is 1 at step w * q^-1 mod p+q for each least member w:
-    a rotation of the class, which names its profile with no member check.
+    Step k of the offsets reads residue k*q mod p+q, so the word has the
+    letter of the steps of max(p, q), 1 if p < q and 0 if p > q, at just
+    w * q^-1 mod p+q for each of m's least members w mod min(p, q): a
+    rotation of the class, which names its profile with no member check.
     """
     p, q = require_coprime(p, q)
     gamma = _pair_semigroup(p, q)
     if m.semigroup is not gamma and m.semigroup.apery != gamma.apery:
         raise ValueError(f"module lives over {m.semigroup}, not over {gamma}")
-    # m was checked when built: over <p,q> with p < q, apery is its minima mod p
-    least = m.apery if p == gamma.generators[0] else _class_minima(m.gap_set, p)
     n = p + q
     inv = pow(q, -1, n)
-    profile = NecklaceProfile.__new__(NecklaceProfile)._read(p, q, [w * inv % n for w in least])
-    # the forward map sends p members back to m: their offsets are m's minima
+    steps = [w * inv % n for w in m.apery]  # m's minima were checked when it was built
+    profile = NecklaceProfile.__new__(NecklaceProfile)._read(p, q, steps, p < q)
+    # the forward map sends p members back to m
     members = profile.members
-    assert len(members) == p and set(_member_offsets(members, p, q, gamma.genus)) == set(least)
+    assert len(members) == p and _least_offsets(members, p, q, gamma.genus) == list(m.apery)
     return profile

@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no code with the
 package: coin-change dynamic programming, plain convolution loops, the
 Euler product built factor by factor, the pentagonal-number sign series,
 a straightforward reachability sieve, the semigroup tree built on it,
-member-by-member scans and a least rotation found by trying every start.
+member-by-member scans, necklace Delta-sets run off the offset recurrence
+and a least rotation found by trying every start.
 """
 
 from __future__ import annotations
@@ -184,6 +185,26 @@ def scan_closure(gens, module_gaps) -> bool:
     return not any(
         d + g in gaps for d in range(top + 1) if d not in gaps for g in gens
     )
+
+
+def necklace_gaps(members, p: int, q: int) -> tuple[int, ...]:
+    """Gaps of the Delta-set of a p-subset of {1..p+q}, from its definition.
+
+    The offsets start at a(1) = 0 and step a(i+1) = a(i) + q after a member
+    i, a(i) - p after another position; Delta is the union of the
+    progressions a(s) + p*N over the members s, slid so that its least
+    member is 0 and then up until it has as many gaps as <p,q>.
+    """
+    a = [0]
+    for i in range(1, p + q):
+        a.append(a[-1] + (q if i in members else -p))
+    starts = [a[s - 1] for s in members]
+    low = min(starts)
+    starts = [s - low for s in starts]
+    top = max(starts)
+    gaps = [x for x in range(top) if not any(x >= s and (x - s) % p == 0 for s in starts)]
+    shift = len(reachability_gap_sieve((p, q))) - len(gaps)
+    return tuple(range(shift)) + tuple(g + shift for g in gaps)
 
 
 def least_rotation_start(word) -> int:

@@ -224,6 +224,17 @@ class TestEpsilon:
             1, "", "error: p and q must be positive, got (0, 1)\n"
         )
 
+    @pytest.mark.parametrize("token", [
+        "sg(99999999999999999999,100000000000000000000)",
+        "pq(99999999999999999999,100000000000000000000)",
+        "sg(2,99999999999999999999)",
+    ], ids=["apery-table", "binomial", "enumeration-window"])
+    def test_number_past_the_index_size_is_domain_error(self, capsys, token):
+        # each raises OverflowError before building anything large
+        code, out, err = run_cli(capsys, "epsilon", token)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestModules:
     def test_golden_listing(self, capsys):

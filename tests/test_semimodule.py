@@ -2,7 +2,7 @@
 
 import hashlib
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import gcd
 
 import pytest
@@ -23,7 +23,7 @@ from k3count.semimodule import (
     normalize_translate,
 )
 
-from oracles import least_rotation_start, scan_closure, scan_minimal_generators
+from oracles import least_rotation_start, necklace_gaps, scan_closure, scan_minimal_generators
 
 SMALL_PAIRS = [
     (p, q)
@@ -34,6 +34,8 @@ SMALL_PAIRS = [
 # p > q: the bijection's p is then not the smallest generator of <p,q>;
 # q = 1: the inverse of q mod p+q is 1
 BIJECTION_PAIRS = SMALL_PAIRS + [(3, 2), (5, 2), (5, 3), (7, 4), (1, 1), (2, 1), (3, 1)]
+# every coprime (p, q) with p + q <= 40, both orders: past the frozen digest
+WIDE_PAIRS = [(p, n - p) for n in range(2, 41) for p in range(1, n) if gcd(p, n - p) == 1]
 
 
 def rotated(members, shift, n):
@@ -439,6 +441,19 @@ class TestDeltaToNecklace:
             "ec55970455432fd04ea208e5c47da8ccada2653474ea8dfd4428f428d5f1bb9a"
         )
 
+    @given(st.sampled_from(WIDE_PAIRS).flatmap(lambda pq: st.tuples(
+        st.just(pq), st.permutations(range(1, sum(pq) + 1)))))
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_round_trip_matches_the_definition(self, case):
+        (p, q), order = case
+        members = sorted(order[:p])
+        module = necklace_to_delta(members, p, q)
+        assert module.gap_set == necklace_gaps(members, p, q)
+        word = bytes(i in members for i in range(1, p + q + 1))
+        r = least_rotation_start(word)
+        least = tuple(compress(range(1, p + q + 1), word[r:] + word[:r]))
+        assert delta_to_necklace(module, p, q).members == least
+
     def test_forward_map_matches_the_profile(self):
         # NecklaceProfile reads the subset's word by the recurrence and is the
         # oracle for the closed-form offsets: the module's least members mod
@@ -459,14 +474,17 @@ class TestDeltaToNecklace:
                     assert least == {prof.a_seq[i - 1] for i in prof.members}, (p, q, S)
 
     def test_forward_map_assertion_counts_the_members(self):
-        # a module forged past its checks, with least member 0 in every class
-        # of <3,5>, writes one letter; that member's offset is 0 again, so only
-        # the member count shows that the word lost two letters
-        forged = GammaModule.__new__(GammaModule)
-        vars(forged).update(semigroup=semigroup_from_generators((3, 5)), gap_set=(),
-                            apery=(0, 0, 0))
-        with pytest.raises(AssertionError):
-            delta_to_necklace(forged, 3, 5)
+        # a module over <3,5> forged past its checks, with two minima at one
+        # step mod 8, writes one letter of the steps of max(p, q) too few; the
+        # offsets of the letters it has are the other minima, and the class
+        # left empty reads 0 as the forged minimum does, so only the member
+        # count shows the lost letter
+        for p, q, apery in [(3, 5, (0, -2, 0)), (5, 3, (0, 4, 8))]:
+            forged = GammaModule.__new__(GammaModule)
+            vars(forged).update(semigroup=semigroup_from_generators((3, 5)), gap_set=(),
+                                apery=apery)
+            with pytest.raises(AssertionError):
+                delta_to_necklace(forged, p, q)
 
     def test_mismatched_semigroup_rejected(self):
         s = semigroup_from_generators({2, 3})
@@ -529,10 +547,10 @@ def work(monkeypatch):
 
 
 class TestWorkCounts:
-    @pytest.mark.parametrize("p, q", [(3, 5), (4, 7), (7, 9)])
+    @pytest.mark.parametrize("p, q", [(3, 5), (4, 7), (7, 9), (5, 3), (7, 4), (9, 7)])
     def test_one_round_trip(self, work, p, q):
         # one rotation search and one member-set check, both needed; no offset
-        # recurrence, class minima or generator normalization
+        # recurrence, class minima or generator normalization, in either order
         necklace_to_delta(range(1, p + 1), p, q)  # fills the semigroup memo
         for S in combinations(range(1, p + q + 1), p):
             work.clear()
