@@ -16,6 +16,7 @@ from .invariants import (
     MultiBranch,
     NODE,
     PlanarPQ,
+    Route,
     SemigroupPoint,
     Singularity,
     branches_of_ade,
@@ -70,6 +71,7 @@ __all__ = [
     "NonInvertibleError",
     "NumericalSemigroup",
     "PlanarPQ",
+    "Route",
     "SemigroupPoint",
     "Singularity",
     "TruncatedSeries",

@@ -107,13 +107,15 @@ def _cmd_epsilon(args) -> tuple:
     text = [("epsilon", eps), ("method", sing.method)]
     code = 0
     if args.verify:
-        verify = record["verify"] = sing.verify(args.max_window)
-        if verify.get("skipped"):
-            text.append(("verified", f"skipped ({verify['reason']})"))
+        route = sing.verify(args.max_window)
+        if route.reason is not None:
+            record["verify"] = {"skipped": True, "reason": route.reason}
+            text.append(("verified", f"skipped ({route.reason})"))
         else:
-            agrees = verify["agrees"] = verify["value"] == eps
+            agrees = route.value == eps
             code = 0 if agrees else 1
-            text += [("verify-method", verify["method"]), ("verify-value", verify["value"])]
+            record["verify"] = {"method": route.method, "value": route.value, "agrees": agrees}
+            text += [("verify-method", route.method), ("verify-value", route.value)]
             text.append(("verified", json.dumps(agrees)))
     return code, record, (f"{key} = {value}" for key, value in text)
 

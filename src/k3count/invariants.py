@@ -4,8 +4,8 @@ epsilon counts the rank-1 torsion-free module classes of a singular
 point; a rational curve contributes the product of epsilon over its
 singular points to the count of rational curves in its linear system.
 Three routes compute it, and each descriptor names the one that gives
-its epsilon (``method``) and the independent one that checks it
-(``verify``):
+its epsilon (``method``) and runs the independent one that checks it
+(``verify``, which returns a ``Route``):
 
 * ``PlanarPQ``, the planar unibranch point u^p = v^q with p and q
   coprime: closed form binomial(p+q,p)/(p+q), checked by Delta-set
@@ -40,23 +40,24 @@ class CurveSpecError(ValueError):
     """A singularity or curve description failed to parse."""
 
 
+class Route(Record):
+    """One route's outcome: ``Route(method, value)``, or ``Route(reason=...)`` if skipped."""
+
+    _fields = ("method", "value", "reason")
+
+    def __init__(self, method=None, value=None, reason=None) -> None:
+        vars(self).update(method=method, value=value, reason=reason)
+
+
 class Singularity:
-    """Base for the singular-point descriptors below."""
+    """Base for the singular-point descriptors below.
+
+    Each has ``epsilon``, computed by the route named ``method``, and
+    ``verify(max_window=None)``, the ``Route`` of an independent check, skipped
+    when no such route exists or an enumeration window exceeds ``max_window``.
+    """
 
     method: str  # the route that computes ``epsilon``
-
-    @property
-    def epsilon(self) -> int:
-        raise NotImplementedError
-
-    def verify(self, max_window: int | None = None) -> dict:
-        """Recompute epsilon along a route independent of ``method``.
-
-        Returns ``{"method": ..., "value": ...}``, or
-        ``{"skipped": True, "reason": ...}`` when no independent route
-        exists or an enumeration window exceeds ``max_window``.
-        """
-        raise NotImplementedError
 
     @property
     def delta(self) -> int | None:
@@ -78,15 +79,12 @@ class PlanarPQ(Singularity, Record):
     def epsilon(self) -> int:
         return epsilon_pq(self.p, self.q)
 
-    def verify(self, max_window: int | None = None) -> dict:
+    def verify(self, max_window: int | None = None) -> Route:
         s = _pair_semigroup(self.p, self.q)
         window = s.frobenius + s.genus
         if max_window is not None and window > max_window:
-            return {
-                "skipped": True,
-                "reason": f"enumeration window {window} exceeds max-window {max_window}",
-            }
-        return {"method": "enumeration", "value": SemigroupPoint(s).epsilon}
+            return Route(reason=f"enumeration window {window} exceeds max-window {max_window}")
+        return Route("enumeration", SemigroupPoint(s).epsilon)
 
     @property
     def delta(self) -> int:
@@ -119,9 +117,9 @@ class Ade(Singularity, Record):
     def epsilon(self) -> int:
         return epsilon_ade(self)
 
-    def verify(self, max_window: int | None = None) -> dict:
+    def verify(self, max_window: int | None = None) -> Route:
         value = prod(b.epsilon for b in branches_of_ade(self))
-        return {"method": "branch-product", "value": value}
+        return Route("branch-product", value)
 
     @property
     def delta(self) -> int:
@@ -145,16 +143,13 @@ class SemigroupPoint(Singularity, Record):
     def epsilon(self) -> int:
         return epsilon_semigroup(self.semigroup)
 
-    def verify(self, max_window: int | None = None) -> dict:
+    def verify(self, max_window: int | None = None) -> Route:
         # two minimal generators of a numerical semigroup are coprime, and
         # <1> is the smooth point pq(1,1)
         gens = self.semigroup.minimal_generators
         if len(gens) <= 2:
-            return {"method": "closed-form", "value": PlanarPQ(gens[0], gens[-1]).epsilon}
-        return {
-            "skipped": True,
-            "reason": "no independent closed form for this semigroup",
-        }
+            return Route("closed-form", PlanarPQ(gens[0], gens[-1]).epsilon)
+        return Route(reason="no independent closed form for this semigroup")
 
     @property
     def delta(self) -> int:
@@ -180,14 +175,14 @@ class MultiBranch(Singularity, Record):
     def epsilon(self) -> int:
         return prod(b.epsilon for b in self.branches)
 
-    def verify(self, max_window: int | None = None) -> dict:
+    def verify(self, max_window: int | None = None) -> Route:
         value = 1
         for b in self.branches:
-            result = b.verify(max_window)
-            if result.get("skipped"):
-                return result
-            value *= result["value"]
-        return {"method": "per-branch", "value": value}
+            route = b.verify(max_window)
+            if route.reason is not None:
+                return route
+            value *= route.value
+        return Route("per-branch", value)
 
     def __str__(self) -> str:
         return "branches[" + ";".join(str(b) for b in self.branches) + "]"

@@ -64,7 +64,7 @@ def gaps_below(least, m: int) -> tuple[int, ...]:
 class NumericalSemigroup(Record):
     """A semigroup given by its generators; ``apery`` is computed, ``gap_set`` when read."""
 
-    _fields = ("generators", "gap_set")
+    _fields = ("generators",)
 
     def __init__(self, generators) -> None:
         generators = tuple(generators)

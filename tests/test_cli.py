@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from k3count import PlanarPQ, Route
 from k3count.cli import main
 
 GOLDEN_MODULES_35 = """\
@@ -198,6 +199,18 @@ class TestEpsilon:
             capsys, ("epsilon", token, "--verify"), 1, "enumeration",
             {"method": "closed-form", "value": 1, "agrees": True},
         )
+
+    def test_verify_disagreement_is_domain_error(self, capsys, monkeypatch):
+        # a check that disagrees prints both values and exits 1
+        monkeypatch.setattr(
+            PlanarPQ, "verify", lambda self, max_window=None: Route("enumeration", 8)
+        )
+        code, out, _ = run_cli(capsys, "epsilon", "pq(3,5)", "--verify")
+        assert code == 1
+        assert out.endswith("verify-method = enumeration\nverify-value = 8\nverified = false\n")
+        code, out, _ = run_cli(capsys, "epsilon", "pq(3,5)", "--verify", "--json")
+        assert code == 1
+        assert json.loads(out)["verify"] == {"method": "enumeration", "value": 8, "agrees": False}
 
     def test_verify_skipped_for_wide_semigroup(self, capsys):
         assert_verify_output(

@@ -15,6 +15,7 @@ from k3count.invariants import (
     CurveSpecError,
     MultiBranch,
     PlanarPQ,
+    Route,
     SemigroupPoint,
     Singularity,
     branches_of_ade,
@@ -409,6 +410,9 @@ class TestDescriptorContract:
         assert callable(cls.__dict__["verify"])
         assert isinstance(cls.__dict__["epsilon"], cached_property)
 
+    def test_base_leaves_epsilon_and_verify_to_each_descriptor(self):
+        assert "epsilon" not in vars(Singularity) and "verify" not in vars(Singularity)
+
     def test_methods_are_distinct(self):
         methods = {cls.method for cls in Singularity.__subclasses__()}
         assert methods == {"closed-form", "ade-table", "enumeration", "branch-product"}
@@ -421,8 +425,10 @@ class TestDescriptorContract:
     def test_verify_agrees_with_epsilon(self, token):
         sing = parse_singularity(token)
         result = sing.verify()
-        assert result["value"] == sing.epsilon
-        assert result["method"] != sing.method
+        assert isinstance(result, Route)
+        assert result.reason is None
+        assert result.value == sing.epsilon
+        assert result.method != sing.method
 
     @pytest.mark.parametrize("typed,minimal", [
         ((2, 4, 5), (2, 5)),
@@ -437,15 +443,13 @@ class TestDescriptorContract:
         assert str(point) == "sg(" + ",".join(map(str, typed)) + ")"
 
     def test_window_skip_names_the_window(self):
-        assert PlanarPQ(3, 5).verify(max_window=5) == {
-            "skipped": True,
-            "reason": "enumeration window 11 exceeds max-window 5",
-        }
-        assert PlanarPQ(3, 5).verify(max_window=10) == {
-            "skipped": True,
-            "reason": "enumeration window 11 exceeds max-window 10",
-        }
-        assert PlanarPQ(3, 5).verify(max_window=11)["value"] == 7
+        assert PlanarPQ(3, 5).verify(max_window=5) == Route(
+            reason="enumeration window 11 exceeds max-window 5"
+        )
+        assert PlanarPQ(3, 5).verify(max_window=10) == Route(
+            reason="enumeration window 11 exceeds max-window 10"
+        )
+        assert PlanarPQ(3, 5).verify(max_window=11) == Route("enumeration", 7)
 
     def test_multibranch_verify_stops_at_first_skip(self, monkeypatch):
         # the first skipped branch is the answer, so no later branch is verified
@@ -453,10 +457,9 @@ class TestDescriptorContract:
             raise AssertionError(f"{self} verified after a skipped branch")
 
         monkeypatch.setattr(Ade, "verify", refuse)
-        assert MultiBranch((PlanarPQ(3, 5), Ade("E", 8))).verify(max_window=5) == {
-            "skipped": True,
-            "reason": "enumeration window 11 exceeds max-window 5",
-        }
+        assert MultiBranch((PlanarPQ(3, 5), Ade("E", 8))).verify(max_window=5) == Route(
+            reason="enumeration window 11 exceeds max-window 5"
+        )
 
     def test_window_skip_builds_no_gap_list(self):
         # the window is frobenius + genus, read off the 1000 Apéry members
@@ -468,8 +471,5 @@ class TestDescriptorContract:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result == {
-            "skipped": True,
-            "reason": "enumeration window 1498499 exceeds max-window 3",
-        }
+        assert result == Route(reason="enumeration window 1498499 exceeds max-window 3")
         assert peak < 2 ** 20

@@ -1,5 +1,7 @@
 """The value classes: repr, ==, hash, immutability and keyword construction."""
 
+import tracemalloc
+
 import pytest
 
 from k3count import (
@@ -9,6 +11,7 @@ from k3count import (
     MultiBranch,
     NODE,
     PlanarPQ,
+    Route,
     SemigroupPoint,
     TruncatedSeries,
     semigroup_from_generators,
@@ -16,7 +19,7 @@ from k3count import (
 from k3count.numsg import NumericalSemigroup
 from k3count.semimodule import GammaModule, NecklaceProfile
 
-S35 = "NumericalSemigroup(generators=(3, 5), gap_set=(1, 2, 4, 7))"
+S35 = "NumericalSemigroup(generators=(3, 5))"
 
 # (constructor, keyword arguments, repr) for one value of each class
 RECORDS = [
@@ -38,6 +41,8 @@ RECORDS = [
      "MultiBranch(branches=(PlanarPQ(p=1, q=1), PlanarPQ(p=1, q=1)))))"),
     (GenusSumReport, {"sum": 24, "expected": 24},
      "GenusSumReport(sum=24, expected=24, equal=True)"),
+    (Route, {"method": "enumeration", "value": 7},
+     "Route(method='enumeration', value=7, reason=None)"),
 ]
 
 
@@ -80,6 +85,22 @@ def test_fields_cannot_be_assigned_or_deleted(record):
 def test_unequal_values_differ():
     assert PlanarPQ(2, 3) != PlanarPQ(3, 2)
     assert GenusSumReport(1, 2) != GenusSumReport(1, 3)
+    assert Route("enumeration", 7) != Route(reason="enumeration window 11 exceeds max-window 5")
+
+
+def test_semigroup_compares_without_its_gap_list():
+    # the generators determine the gap set, so ==, hash and repr never
+    # build the 1999000 gaps of <2000,2001>, about 90 MiB
+    a, b = (SemigroupPoint(NumericalSemigroup((2000, 2001))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "SemigroupPoint(semigroup=NumericalSemigroup(generators=(2000, 2001)))"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "gap_set" not in vars(a.semigroup)
+    assert peak < 2 ** 20
 
 
 def test_genus_sum_report_derives_equal():
