@@ -8,9 +8,10 @@ semigroup Gamma, the genus equals the local delta invariant.
 A semigroup stores ``apery``, the least member of each class mod its
 smallest generator m, found in O(m^2 + m*|gens|) steps however large
 the Frobenius number is.  Selmer's formulas read the genus, sum(w // m),
-and the Frobenius number, max(w) - m, off this Apéry set; ``gap_set`` is
-built on first read.  ``semigroup_from_generators`` returns one shared
-immutable instance per distinct generator set.
+and the Frobenius number, max(w) - m, off this Apéry set, as does the
+membership test ``GammaModule`` shares; ``gap_set`` is built on first
+read.  ``semigroup_from_generators`` returns one shared immutable
+instance per distinct generator set.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def _apery(gen_list: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(least)
 
 
-def gaps_below(least, m: int) -> tuple[int, ...]:
-    """Sorted gaps of the union of w + m*N over ``least``, one w per class mod m."""
+def gaps_below(least) -> tuple[int, ...]:
+    """Sorted gaps of the union of w + m*N over ``least``, one w per class mod m = len(least)."""
+    m = len(least)
     return tuple(sorted(n for w in least for n in range(w % m, w, m)))
 
 
@@ -75,7 +77,7 @@ class NumericalSemigroup(Record):
 
     @cached_property
     def gap_set(self) -> tuple[int, ...]:
-        return gaps_below(self.apery, self.generators[0])
+        return gaps_below(self.apery)
 
     @cached_property
     def genus(self) -> int:

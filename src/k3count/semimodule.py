@@ -26,12 +26,12 @@ of those steps at w * q^-1 mod p+q for each least member w through
 Neither runs the recurrence: a profile derives ``a_seq`` on first read.
 
 A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
-by ``apery``, its least member w in each class mod p; it is closed under
-another generator g exactly when each w + g is a member (Kunz's
-inequality), and it has sum(w // p) gaps (Selmer).  Translation shifts
-these p numbers and keeps closure.  ``GammaModule._of_apery`` builds a
-module from them, and the public constructor, which takes a gap set,
-works them out; both hand them to one check routine, ``_checked_apery``.
+by ``apery``, its least member w in each class mod p, as Gamma is, and
+membership is Gamma's method.  It is closed under another generator g
+exactly when each w + g is a member (Kunz's inequality), and has
+sum(w // p) gaps (Selmer).  Translation shifts these p numbers and keeps
+closure.  ``GammaModule._of_apery`` takes them as given, the public
+constructor finds them in a gap set, and ``_checked_apery`` checks both.
 """
 
 from __future__ import annotations
@@ -70,13 +70,11 @@ class GammaModule(Record):
         """
         least = _checked_apery(least, semigroup)
         m = cls.__new__(cls)
-        gaps = gaps_below(least, semigroup.generators[0])
+        gaps = gaps_below(least)
         vars(m).update(semigroup=semigroup, gap_set=gaps, apery=least)
         return m
 
-    def __contains__(self, n: int) -> bool:
-        # a negative n falls below the least member of its class
-        return n >= self.apery[n % len(self.apery)]
+    __contains__ = NumericalSemigroup.__contains__
 
     def __str__(self) -> str:
         return "gaps={" + ",".join(str(g) for g in self.gap_set) + "}"

@@ -64,6 +64,23 @@ def test_every_recursion_is_allowlisted():
     assert _self_calls() == set(RECURSIONS)
 
 
+def _shared_bodies():
+    """Names of the functions in src/ with the same body, past any docstring, per body."""
+    names = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                key = tuple(ast.dump(stmt) for stmt in body)
+                names.setdefault(key, []).append(f"{path.stem}.{node.name}")
+    return [found for found in names.values() if len(found) > 1]
+
+
+def test_no_two_functions_share_a_body():
+    # a rule written twice can be mended in one copy and left wrong in the other
+    assert _shared_bodies() == []
+
+
 # Each function, method or property in src/ that nothing else in src/ names,
 # and the reader it is kept for.
 UNREFERENCED = {
