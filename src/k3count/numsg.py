@@ -7,11 +7,11 @@ semigroup Gamma, the genus equals the local delta invariant.
 
 A semigroup stores ``apery``, the least member of each class mod its
 smallest generator m, found in O(m^2 + m*|gens|) steps however large
-the Frobenius number is.  Selmer's formulas read the genus, sum(w // m),
-and the Frobenius number, max(w) - m, off this Apéry set, as does the
-membership test ``GammaModule`` shares; ``gap_set`` is built on first
-read.  ``semigroup_from_generators`` returns one shared immutable
-instance per distinct generator set.
+the Frobenius number is.  Selmer's formulas read the genus, ``cogenus``,
+the package's one sum(w // m), and the Frobenius number, max(w) - m, off
+this Apéry set, as does the membership test ``GammaModule`` shares;
+``gap_set`` is built on first read.  ``semigroup_from_generators``
+returns one shared immutable instance per distinct generator set.
 """
 
 from __future__ import annotations
@@ -63,6 +63,12 @@ def gaps_below(least) -> tuple[int, ...]:
     return tuple(sorted(n for w in least for n in range(w % m, w, m)))
 
 
+def cogenus(least) -> int:
+    """Selmer's sum(w // m) over one w per class mod m = len(least): the gaps below them."""
+    m = len(least)
+    return sum(w // m for w in least)
+
+
 class NumericalSemigroup(Record):
     """A semigroup given by its generators; ``apery`` is computed, ``gap_set`` when read."""
 
@@ -82,7 +88,7 @@ class NumericalSemigroup(Record):
     @cached_property
     def genus(self) -> int:
         """Number of gaps (Selmer); the delta invariant of the monomial curve."""
-        return sum(w // self.generators[0] for w in self.apery)
+        return cogenus(self.apery)
 
     @property
     def frobenius(self) -> int:

@@ -29,9 +29,11 @@ A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
 by ``apery``, its least member w in each class mod p, as Gamma is, and
 membership is Gamma's method.  It is closed under another generator g
 exactly when each w + g is a member (Kunz's inequality), and has
-sum(w // p) gaps (Selmer).  Translation shifts these p numbers and keeps
-closure.  ``GammaModule._of_apery`` takes them as given, the public
-constructor finds them in a gap set, and ``_checked_apery`` checks both.
+``cogenus(apery)`` gaps (Selmer).  Translation by s adds s to these p
+numbers and to their cogenus and keeps closure, so ``normalize_translate``
+and the forward map share one shift to genus(Gamma), ``_shifted_to_genus``.
+``GammaModule._of_apery`` takes the minima as given, the public constructor
+finds them in a gap set, and ``_checked_apery`` checks both.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from math import comb, gcd
 from operator import index
 
 from ._record import Record
-from .numsg import NumericalSemigroup, _semigroup, gaps_below
+from .numsg import NumericalSemigroup, _semigroup, cogenus, gaps_below
 
 
 class InvalidModuleError(ValueError):
@@ -94,10 +96,9 @@ def _checked_apery(least, semigroup: NumericalSemigroup) -> tuple[int, ...]:
     # w0 + Gamma, so it has too few gaps), but it names the fault
     if min(least) < 0:
         raise InvalidModuleError(f"least members must be non-negative, got {least}")
-    cogenus = sum(w // p for w in least)
-    if cogenus != semigroup.genus:
+    if cogenus(least) != semigroup.genus:
         raise InvalidModuleError(
-            f"cogenus {cogenus} differs from the semigroup genus {semigroup.genus}"
+            f"cogenus {cogenus(least)} differs from the semigroup genus {semigroup.genus}"
         )
     for w in least:
         for g in others:
@@ -117,7 +118,7 @@ def _class_minima(gaps, p: int) -> list[int]:
     least = list(range(p))
     for g in gaps:
         least[g % p] = g + p
-    if len(gaps) != sum(w // p for w in least):
+    if len(gaps) != cogenus(least):
         raise InvalidModuleError(f"not closed under adding {p}")
     return least
 
@@ -125,25 +126,29 @@ def _class_minima(gaps, p: int) -> list[int]:
 def normalize_translate(gaps_of_raw_delta, s: NumericalSemigroup) -> GammaModule:
     """Slide a closed set Delta' to the unique translate with full cogenus.
 
-    Shifting Delta' by one changes its gap count by exactly one, so among
-    all translates inside N exactly one has genus(Gamma) gaps.  The input
-    is given by its gap set; anything not Gamma-closed is rejected.
+    The input is given by its gap set.  Delta' holds w0 + Gamma, w0 its
+    least member, so it has at most w0 + genus gaps and the translate lies
+    inside N; anything not Gamma-closed is rejected.
     """
     gaps = sorted({index(g) for g in gaps_of_raw_delta})
     if gaps and gaps[0] < 0:
         raise ValueError("gap values must be non-negative")
-    p = s.generators[0]
-    least = _class_minima(gaps, p)
-    # A closed set holds w0 + Gamma, w0 its least member, so it has at most
-    # w0 + genus gaps and no w - shift is negative; an open one fails the
-    # module's own checks.
-    shift = len(gaps) - s.genus
-    k = shift % p  # class r of the translate is class r + shift of the input
-    return GammaModule._of_apery(s, [w - shift for w in least[k:] + least[:k]])
+    least = _class_minima(gaps, s.generators[0])
+    return GammaModule._of_apery(s, _shifted_to_genus(least, s.genus))
+
+
+def _shifted_to_genus(least, genus: int) -> list[int]:
+    """``least``, one w per class mod len(least), any order, moved to ``genus`` gaps, by class."""
+    m = len(least)
+    shift = cogenus(least) - genus
+    placed = [0] * m
+    for w in least:
+        placed[(w - shift) % m] = w - shift
+    return placed
 
 
 def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
-    """All Delta-sets for ``s``, sorted by gap set.
+    """All Delta-sets for ``s``, sorted by gap set, as ``walk`` tries gap before member.
 
     Every gap of a Delta-set is at most frobenius + genus: the minimal
     element m satisfies m <= genus (everything below it is a gap) and
@@ -174,7 +179,7 @@ def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
         member[pos] = False
 
     walk(0, genus)
-    return [GammaModule(s, gaps) for gaps in sorted(found)]
+    return [GammaModule(s, gaps) for gaps in found]
 
 
 def minimal_generators(m: GammaModule) -> tuple[int, ...]:
@@ -246,9 +251,8 @@ class NecklaceProfile(Record):
     def a_seq(self) -> tuple[int, ...]:
         p, q = self.p, self.q
         a = _offsets(self._word, p, q)
-        # the members' offsets are Delta's least members mod p, and each
-        # such w sits above w // p gaps: the normalized Delta has genus many
-        shift = sum(a[i - 1] // p for i in self.members) - (p - 1) * (q - 1) // 2
+        # the members' offsets are the least members mod p of a translate of Delta
+        shift = cogenus([a[i - 1] for i in self.members]) - (p - 1) * (q - 1) // 2
         return tuple([v - shift for v in a])
 
 
@@ -278,15 +282,8 @@ def _least_rotation(word: bytes) -> int:
     """
     n = len(word)
     doubled = word + word
-    starts = []
-    # a "10" at j in n-1..2n-2 puts a run start at j + 1 - n in 0..n-1
-    j = doubled.find(b"\x01\x00", n - 1, 2 * n)
-    while j >= 0:
-        starts.append(j + 1 - n)
-        j = doubled.find(b"\x01\x00", j + 2, 2 * n)
-    if not starts:
-        return 0
-    return min(starts, key=lambda i: doubled[i:i + n])
+    starts = [i for i in range(n) if word[i - 1] > word[i]]
+    return min(starts, key=lambda i: doubled[i:i + n], default=0)
 
 
 def _offsets(word: bytes, p: int, q: int) -> list[int]:
@@ -300,16 +297,12 @@ def _least_offsets(members, p: int, q: int, genus: int) -> list[int]:
     Up to one shift to cogenus ``genus`` they are a(i) = (p+q)*j - p*i, j
     members before step i, at the steps of max(p, q): members if p < q, else the others.
     """
-    n, m = p + q, min(p, q)
+    n = p + q
     if p < q:
         a = [n * j - p * i for j, i in enumerate(members)]
     else:
         a = [q * i - n * k for k, i in enumerate(sorted(set(range(1, n + 1)) - set(members)))]
-    shift = sum(w // m for w in a) - genus
-    least = [0] * m
-    for w in a:
-        least[(w - shift) % m] = w - shift
-    return least
+    return _shifted_to_genus(a, genus)
 
 
 def necklace_to_delta(members, p: int, q: int) -> GammaModule:
@@ -341,7 +334,7 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     inv = pow(q, -1, n)
     steps = [w * inv % n for w in m.apery]  # m's minima were checked when it was built
     profile = NecklaceProfile.__new__(NecklaceProfile)._read(p, q, steps, p < q)
-    # the forward map sends p members back to m
-    members = profile.members
-    assert len(members) == p and _least_offsets(members, p, q, gamma.genus) == list(m.apery)
+    # the forward map sends the members back to m; it gives one minimum per
+    # offset it reads, so a word without p members gives a tuple too long or short
+    assert _least_offsets(profile.members, p, q, gamma.genus) == list(m.apery)
     return profile

@@ -94,23 +94,25 @@ UNREFERENCED = {
 }
 
 
-def _unreferenced():
-    """``module.name`` for every non-dunder def in src/ whose name src/ never reads.
+def _unreferenced(modules):
+    """``module.name`` for every non-dunder def in ``modules`` whose name they never read.
 
-    A read is a ``Name``, an ``Attribute`` or an imported name anywhere in
-    src/ outside ``__init__.py``, whose imports only re-export; a reference
-    inside the function's own body counts.
+    ``modules`` maps each file name to its parsed source.  A read is a
+    loaded ``Name`` or ``Attribute``, or an imported name, in any file but
+    ``__init__.py``, whose imports only re-export; a store, such as a class
+    attribute sharing a method's name, is not one.  A reference inside the
+    function's own body counts.
     """
     defined, read = set(), set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for file_name, tree in modules.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
-                defined.add((path.stem, node.name))
-            elif path.name == "__init__.py":
+                defined.add((file_name.removesuffix(".py"), node.name))
+            elif file_name == "__init__.py":
                 continue
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
@@ -118,7 +120,21 @@ def _unreferenced():
 
 
 def test_every_unreferenced_name_is_allowlisted():
-    assert _unreferenced() == set(UNREFERENCED)
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _unreferenced(modules) == set(UNREFERENCED)
+
+
+def test_a_stored_name_is_not_a_read():
+    # the class attribute only stores ``delta``, so the property stays unread
+    source = (
+        "class Singularity:\n"
+        "    delta: int | None = None\n"
+        "class Point(Singularity):\n"
+        "    @property\n"
+        "    def delta(self):\n"
+        "        return 1\n"
+    )
+    assert _unreferenced({"points.py": ast.parse(source)}) == {"points.delta"}
 
 
 def test_exports_are_exactly_the_imported_names():

@@ -10,6 +10,7 @@ from k3count import numsg
 from k3count.numsg import (
     InfiniteComplementError,
     NumericalSemigroup,
+    cogenus,
     semigroup_from_generators,
 )
 from k3count.semimodule import count_necklaces, delta_to_necklace, necklace_to_delta
@@ -168,6 +169,16 @@ class TestAperyForm:
         )
         assert s.minimal_generators == tuple(irreducible)
         assert semigroup_from_generators(irreducible).gap_set == s.gap_set
+
+    @given(generator_sets(), st.integers(min_value=-40, max_value=40))
+    @example([1], -3)
+    @example([4, 6, 9], -9)
+    def test_cogenus_moves_with_every_translate(self, gens, shift):
+        # Selmer's count over a translate of the Apéry set, in any order,
+        # moves by the shift, also once some least members are negative
+        s = semigroup_from_generators(gens)
+        assert cogenus(s.apery) == s.genus == len(s.gap_set)
+        assert cogenus([w + shift for w in reversed(s.apery)]) == s.genus + shift
 
     def test_minimal_generators_drop_redundant_ones(self):
         assert semigroup_from_generators({2, 4, 5}).minimal_generators == (2, 5)

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from k3count.numsg import semigroup_from_generators
+from k3count.numsg import cogenus, semigroup_from_generators
 from k3count.semimodule import enumerate_delta_sets, minimal_generators
 from oracles import semigroup_tree
 
@@ -80,6 +80,11 @@ def test_tree_counts_semigroups_by_genus():
 
 def test_epsilon_table_is_frozen(listings):
     assert {gens: len(modules) for gens, modules in listings} == EPSILON
+
+
+def test_cogenus_counts_the_gaps_of_every_module(listings):
+    for _, modules in listings:
+        assert all(cogenus(m.apery) == len(m.gap_set) for m in modules)
 
 
 def test_listing_digest_is_frozen(listings):

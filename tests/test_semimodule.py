@@ -1,6 +1,7 @@
 """Delta-set enumeration and the necklace bijection, both directions."""
 
 import hashlib
+import random
 from collections import Counter
 from itertools import combinations, compress, product
 from math import gcd
@@ -15,6 +16,7 @@ from k3count.semimodule import (
     InvalidModuleError,
     NecklaceProfile,
     _least_rotation,
+    _shifted_to_genus,
     count_necklaces,
     delta_to_necklace,
     enumerate_delta_sets,
@@ -242,6 +244,21 @@ class TestNormalizeTranslate:
                     assert len(shifted) != s.genus
                     with pytest.raises(InvalidModuleError, match="cogenus"):
                         GammaModule(s, shifted)
+
+
+class TestShiftedToGenus:
+    @pytest.mark.parametrize("gens", [*SMALL_PAIRS, (4, 6, 9)],
+                             ids=lambda gens: ",".join(map(str, gens)))
+    def test_shuffled_translates_come_back(self, gens):
+        s = semigroup_from_generators(gens)
+        p = s.generators[0]
+        rng = random.Random(p)
+        for m in enumerate_delta_sets(s):
+            for shift in range(-2 * p, 2 * p + 1):
+                least = [w + shift for w in m.apery]
+                for _ in range(3):
+                    rng.shuffle(least)
+                    assert _shifted_to_genus(least, s.genus) == list(m.apery)
 
 
 class TestMinimalGenerators:
@@ -477,8 +494,8 @@ class TestDeltaToNecklace:
         # a module over <3,5> forged past its checks, with two minima at one
         # step mod 8, writes one letter of the steps of max(p, q) too few; the
         # offsets of the letters it has are the other minima, and the class
-        # left empty reads 0 as the forged minimum does, so only the member
-        # count shows the lost letter
+        # left empty reads 0 as the forged minimum does, so only the count of
+        # the minima the forward map gives back shows the lost letter
         for p, q, apery in [(3, 5, (0, -2, 0)), (5, 3, (0, 4, 8))]:
             forged = GammaModule.__new__(GammaModule)
             vars(forged).update(semigroup=semigroup_from_generators((3, 5)), gap_set=(),
