@@ -9,9 +9,10 @@ A semigroup stores ``apery``, the least member of each class mod its
 smallest generator m, found in O(m^2 + m*|gens|) steps however large
 the Frobenius number is.  Selmer's formulas read the genus, ``cogenus``,
 the package's one sum(w // m), and the Frobenius number, max(w) - m, off
-this Apéry set, as does the membership test ``GammaModule`` shares;
-``gap_set`` is built on first read.  ``semigroup_from_generators``
-returns one shared immutable instance per distinct generator set.
+this Apéry set, as do the membership test and the generator rule,
+``module_generators``, that ``GammaModule`` shares; ``gap_set`` is built
+on first read.  ``semigroup_from_generators`` returns one shared
+immutable instance per distinct generator set.
 """
 
 from __future__ import annotations
@@ -69,6 +70,17 @@ def cogenus(least) -> int:
     return sum(w // m for w in least)
 
 
+def module_generators(least, gens) -> tuple[int, ...]:
+    """Sorted minimal generators, over the semigroup of ``gens``, of the set with minima ``least``.
+
+    With m = len(least) in ``gens``, a generator is the least member w of
+    its class, and is one exactly when no w - g is a member: any other
+    member of the semigroup is g plus a member.
+    """
+    m = len(least)
+    return tuple(sorted(w for w in least if all(w - g < least[(w - g) % m] for g in gens)))
+
+
 class NumericalSemigroup(Record):
     """A semigroup given by its generators; ``apery`` is computed, ``gap_set`` when read."""
 
@@ -99,15 +111,10 @@ class NumericalSemigroup(Record):
     def minimal_generators(self) -> tuple[int, ...]:
         """The least generating set, however the generators were given.
 
-        It holds the smallest generator m and each class minimum w with no
-        generator g < w such that w - g is a member; any other nonzero
-        member is m or such a g plus a nonzero member.
+        They generate the ideal Gamma minus {0} as a module: its least
+        member in class 0 mod m is m, and in the others Gamma's.
         """
-        gens = self.generators
-        return (gens[0],) + tuple(sorted(
-            w for w in self.apery[1:]
-            if not any(g < w and w - g in self for g in gens)
-        ))
+        return module_generators((self.generators[0],) + self.apery[1:], self.generators)
 
     def __contains__(self, n: int) -> bool:
         # a negative n falls below the least member of its class

@@ -32,8 +32,9 @@ exactly when each w + g is a member (Kunz's inequality), and has
 ``cogenus(apery)`` gaps (Selmer).  Translation by s adds s to these p
 numbers and to their cogenus and keeps closure, so ``normalize_translate``
 and the forward map share one shift to genus(Gamma), ``_shifted_to_genus``.
-``GammaModule._of_apery`` takes the minima as given, the public constructor
-finds them in a gap set, and ``_checked_apery`` checks both.
+One checked store builds every module: ``GammaModule._of_apery`` takes
+the minima as given, the public constructor finds them in a gap set,
+and ``enumerate_delta_sets`` records them as it places gaps.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from math import comb, gcd
 from operator import index
 
 from ._record import Record
-from .numsg import NumericalSemigroup, _semigroup, cogenus, gaps_below
+from .numsg import NumericalSemigroup, _semigroup, cogenus, gaps_below, module_generators
 
 
 class InvalidModuleError(ValueError):
@@ -60,21 +61,18 @@ class GammaModule(Record):
         gaps = tuple(map(index, gap_set))
         if list(gaps) != sorted(set(gaps)) or (gaps and gaps[0] < 0):
             raise ValueError("gap set must be sorted distinct non-negative ints")
-        least = _checked_apery(_class_minima(gaps, semigroup.generators[0]), semigroup)
-        vars(self).update(semigroup=semigroup, gap_set=gaps, apery=least)
+        self._store(semigroup, _class_minima(gaps, semigroup.generators[0]))
 
     @classmethod
     def _of_apery(cls, semigroup: NumericalSemigroup, least) -> GammaModule:
-        """The module whose least member in class r mod p is ``least[r]``.
+        """The module with least member ``least[r]`` in class r mod p, the smallest generator."""
+        return cls.__new__(cls)._store(semigroup, least)
 
-        p is the smallest generator.  The gap list is built from the checked
-        minima, so it is sorted, distinct and +p closed.
-        """
+    def _store(self, semigroup: NumericalSemigroup, least) -> GammaModule:
+        """Both constructors end here: check ``least`` with ``_checked_apery``, set every field."""
         least = _checked_apery(least, semigroup)
-        m = cls.__new__(cls)
-        gaps = gaps_below(least)
-        vars(m).update(semigroup=semigroup, gap_set=gaps, apery=least)
-        return m
+        vars(self).update(semigroup=semigroup, gap_set=gaps_below(least), apery=least)
+        return self
 
     __contains__ = NumericalSemigroup.__contains__
 
@@ -155,44 +153,39 @@ def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
     m + Gamma is contained in Delta, so no gap exceeds m + frobenius.
     The search walks positions 0..bound deciding gap or member, pruning
     when a gap would sit above member + generator, when the gap budget is
-    spent, or when too few positions remain to spend it.
+    spent, or when too few positions remain to spend it.  A gap at pos sets
+    its class's least member mod p to pos + p, so a leaf holds the Apéry tuple.
     """
     genus = s.genus
     bound = s.frobenius + genus
     gens = s.generators
+    p = gens[0]
     member = [False] * (bound + 1)
-    chosen: list[int] = []
+    least = list(range(p))
     found: list[tuple[int, ...]] = []
 
     def walk(pos: int, budget: int) -> None:
         if budget == 0:
-            found.append(tuple(chosen))
+            found.append(tuple(least))
             return
         if pos > bound or budget > bound - pos + 1:
             return
         if not any(pos >= g and member[pos - g] for g in gens):
-            chosen.append(pos)
+            least[pos % p] = pos + p
             walk(pos + 1, budget - 1)
-            chosen.pop()
+            # pos - p is a gap or negative, so the minimum was pos
+            least[pos % p] = pos
         member[pos] = True
         walk(pos + 1, budget)
         member[pos] = False
 
     walk(0, genus)
-    return [GammaModule(s, gaps) for gaps in found]
+    return [GammaModule._of_apery(s, apery) for apery in found]
 
 
 def minimal_generators(m: GammaModule) -> tuple[int, ...]:
-    """Smallest G with Delta equal to the union of g + Gamma over g in G.
-
-    With p the smallest generator of Gamma, a generator of Delta is the
-    least member of its residue class mod p (else subtracting p stays in
-    Delta), and such a least member w is a generator exactly when no
-    w - g, for g a generator of Gamma, lies in Delta: any other member
-    of Gamma is g plus a member, and Delta is closed under adding those.
-    """
-    gens = m.semigroup.generators
-    return tuple(sorted(w for w in m.apery if all(w - g not in m for g in gens)))
+    """Smallest G with Delta the union of g + Gamma over g in G, read off ``apery``."""
+    return module_generators(m.apery, m.semigroup.generators)
 
 
 def count_necklaces(p: int, q: int) -> int:

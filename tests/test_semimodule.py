@@ -543,9 +543,12 @@ class TestSharedSemigroups:
         assert module.semigroup is semigroup_from_generators({p, q})
 
 
-# what one round trip computes, counted by name: machine-independent, unlike its time
+# what a round trip or an enumeration computes, counted by name: unlike its time,
+# machine-independent
 COUNTED = {
-    semimodule: ("_least_rotation", "_require_members", "_offsets", "_class_minima"),
+    semimodule: (
+        "_least_rotation", "_require_members", "_offsets", "_class_minima", "_checked_apery",
+    ),
     numsg: ("_normalized_generators",),
 }
 
@@ -566,13 +569,25 @@ def work(monkeypatch):
 class TestWorkCounts:
     @pytest.mark.parametrize("p, q", [(3, 5), (4, 7), (7, 9), (5, 3), (7, 4), (9, 7)])
     def test_one_round_trip(self, work, p, q):
-        # one rotation search and one member-set check, both needed; no offset
-        # recurrence, class minima or generator normalization, in either order
+        # one rotation search, one member-set check and one module check, all
+        # needed; no offset recurrence, class minima or generator normalization,
+        # in either order
         necklace_to_delta(range(1, p + 1), p, q)  # fills the semigroup memo
         for S in combinations(range(1, p + q + 1), p):
             work.clear()
             delta_to_necklace(necklace_to_delta(S, p, q), p, q)
-            assert work == {"_least_rotation": 1, "_require_members": 1}, S
+            assert work == {
+                "_least_rotation": 1, "_require_members": 1, "_checked_apery": 1,
+            }, S
+
+    @pytest.mark.parametrize("gens, count", [((3, 5), 7), ((5, 6, 9), 27)], ids=["3,5", "5,6,9"])
+    def test_enumeration_builds_each_module_from_its_minima(self, work, gens, count):
+        # the search records each module's class minima, so none is worked
+        # out again from its gap list, and each is checked once
+        s = semigroup_from_generators(gens)
+        work.clear()
+        assert len(enumerate_delta_sets(s)) == count
+        assert work == {"_checked_apery": count}
 
     def test_a_seq_is_derived_once_on_first_read(self, work):
         profile = NecklaceProfile(7, 9, (1, 2, 4, 8, 9, 11, 15))
