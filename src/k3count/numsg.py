@@ -8,10 +8,13 @@ semigroup Gamma, the genus equals the local delta invariant.
 A semigroup stores ``apery``, the least member of each class mod its
 smallest generator m, found in O(m^2 + m*|gens|) steps however large
 the Frobenius number is.  Selmer's formulas read the genus, ``cogenus``,
-the package's one sum(w // m), and the Frobenius number, max(w) - m, off
-this Apéry set, as do the membership test and the generator rule,
-``module_generators``, that ``GammaModule`` shares; ``gap_set`` is built
-on first read.  ``semigroup_from_generators`` returns one shared
+and the Frobenius number, max(w) - m, off this Apéry set, as do the
+membership test and the generator rule, ``module_generators``, that
+``GammaModule`` shares; ``gap_set`` is built on first read.  ``cogenus``
+is the package's one sum(w // m), taken in closed form as
+(sum(w) - m(m-1)/2) / m: that holds for any m integers with one in each
+class mod m, in any order and negative ones included, since their residues
+are then 0, 1, ..., m-1.  ``semigroup_from_generators`` returns one shared
 immutable instance per distinct generator set.
 """
 
@@ -61,13 +64,18 @@ def _apery(gen_list: tuple[int, ...]) -> tuple[int, ...]:
 def gaps_below(least) -> tuple[int, ...]:
     """Sorted gaps of the union of w + m*N over ``least``, one w per class mod m = len(least)."""
     m = len(least)
-    return tuple(sorted(n for w in least for n in range(w % m, w, m)))
+    return tuple(sorted([n for w in least for n in range(w % m, w, m)]))
 
 
 def cogenus(least) -> int:
-    """Selmer's sum(w // m) over one w per class mod m = len(least): the gaps below them."""
+    """Selmer's sum(w // m) over one w per class mod m = len(least): the gaps below them.
+
+    The residues w % m are then 0, ..., m-1, so the sum is the closed form
+    (sum(least) - m*(m-1)/2) / m, exact for negative w too.  Other input
+    gives a meaningless number.
+    """
     m = len(least)
-    return sum(w // m for w in least)
+    return (sum(least) - m * (m - 1) // 2) // m
 
 
 def module_generators(least, gens) -> tuple[int, ...]:

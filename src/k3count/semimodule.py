@@ -135,14 +135,15 @@ def normalize_translate(gaps_of_raw_delta, s: NumericalSemigroup) -> GammaModule
     return GammaModule._of_apery(s, _shifted_to_genus(least, s.genus))
 
 
-def _shifted_to_genus(least, genus: int) -> list[int]:
+def _shifted_to_genus(least, genus: int) -> tuple[int, ...]:
     """``least``, one w per class mod len(least), any order, moved to ``genus`` gaps, by class."""
     m = len(least)
     shift = cogenus(least) - genus
     placed = [0] * m
     for w in least:
-        placed[(w - shift) % m] = w - shift
-    return placed
+        w -= shift
+        placed[w % m] = w
+    return tuple(placed)
 
 
 def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
@@ -225,18 +226,19 @@ class NecklaceProfile(Record):
 
     def __init__(self, p: int, q: int, members) -> None:
         p, q = require_coprime(p, q)
-        members = tuple(map(index, members))
+        members = list(map(index, members))
         _require_members(members, p, q)
         self._read(p, q, [i - 1 for i in members], 1)
 
     def _read(self, p: int, q: int, steps, letter: int) -> NecklaceProfile:
         """Store the least rotation of the word with ``letter`` at just ``steps``, unchecked."""
-        word = bytearray([not letter]) * (p + q)
+        n = p + q
+        word = bytearray([not letter]) * n
         for k in steps:
             word[k] = letter
         start = _least_rotation(word)
         word = word[start:] + word[:start]
-        members = tuple(compress(range(1, p + q + 1), word))
+        members = tuple(compress(range(1, n + 1), word))
         vars(self).update(p=p, q=q, members=members, _word=word)
         return self
 
@@ -249,15 +251,14 @@ class NecklaceProfile(Record):
         return tuple([v - shift for v in a])
 
 
-def _require_members(members, p: int, q: int) -> None:
-    """Raise ValueError unless ``members`` is a sorted p-subset of {1..p+q}."""
-    n = p + q
+def _require_members(members: list[int], p: int, q: int) -> None:
+    """Raise ValueError unless the list ``members`` is a sorted p-subset of {1..p+q}, p >= 1."""
     if len(members) != p:
         raise ValueError(f"member set must have exactly {p} elements")
-    if list(members) != sorted(set(members)):
+    if members != sorted(set(members)):
         raise ValueError("members must be sorted and distinct")
-    if members and not (1 <= members[0] and members[-1] <= n):
-        raise ValueError(f"members must lie in 1..{n}")
+    if not (1 <= members[0] and members[-1] <= p + q):
+        raise ValueError(f"members must lie in 1..{p + q}")
 
 
 def _least_rotation(word: bytes) -> int:
@@ -275,8 +276,13 @@ def _least_rotation(word: bytes) -> int:
     """
     n = len(word)
     doubled = word + word
-    starts = [i for i in range(n) if word[i - 1] > word[i]]
-    return min(starts, key=lambda i: doubled[i:i + n], default=0)
+    best, least = 0, None
+    for i in range(n):
+        if word[i - 1] > word[i]:
+            rotation = doubled[i:i + n]
+            if least is None or rotation < least:
+                best, least = i, rotation
+    return best
 
 
 def _offsets(word: bytes, p: int, q: int) -> list[int]:
@@ -284,7 +290,7 @@ def _offsets(word: bytes, p: int, q: int) -> list[int]:
     return list(accumulate(map((-p, q).__getitem__, word[:-1]), initial=p * q))
 
 
-def _least_offsets(members, p: int, q: int, genus: int) -> list[int]:
+def _least_offsets(members, p: int, q: int, genus: int) -> tuple[int, ...]:
     """Least members mod min(p, q) of the module of sorted ``members``, by class.
 
     Up to one shift to cogenus ``genus`` they are a(i) = (p+q)*j - p*i, j
@@ -329,5 +335,5 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     profile = NecklaceProfile.__new__(NecklaceProfile)._read(p, q, steps, p < q)
     # the forward map sends the members back to m; it gives one minimum per
     # offset it reads, so a word without p members gives a tuple too long or short
-    assert _least_offsets(profile.members, p, q, gamma.genus) == list(m.apery)
+    assert _least_offsets(profile.members, p, q, gamma.genus) == m.apery
     return profile

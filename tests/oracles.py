@@ -4,8 +4,9 @@ Everything here is deliberately naive and shares no code with the
 package: coin-change dynamic programming, plain convolution loops, the
 Euler product built factor by factor, the pentagonal-number sign series,
 a straightforward reachability sieve, the semigroup tree built on it,
-member-by-member scans, necklace Delta-sets run off the offset recurrence
-and a least rotation found by trying every start.
+member-by-member scans, necklace Delta-sets run off the offset recurrence,
+a least rotation found by trying every start, and Selmer's count and the
+gap list taken one class at a time.
 """
 
 from __future__ import annotations
@@ -211,3 +212,15 @@ def least_rotation_start(word) -> int:
     """First start of the least rotation of ``word``, trying all n starts."""
     n = len(word)
     return min(range(n), key=lambda i: word[i:] + word[:i])
+
+
+def cogenus_by_classes(least) -> int:
+    """Selmer's sum of w // m over one w per class mod m = len(least), term by term."""
+    m = len(least)
+    return sum(w // m for w in least)
+
+
+def gaps_by_classes(least) -> tuple[int, ...]:
+    """The n below the least w of their class mod m = len(least), class by class, sorted."""
+    m = len(least)
+    return tuple(sorted(n for w in least for n in range(w % m, w, m)))

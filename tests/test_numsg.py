@@ -11,11 +11,12 @@ from k3count.numsg import (
     InfiniteComplementError,
     NumericalSemigroup,
     cogenus,
+    gaps_below,
     semigroup_from_generators,
 )
 from k3count.semimodule import count_necklaces, delta_to_necklace, necklace_to_delta
 
-from oracles import naive_members, reachability_gap_sieve
+from oracles import cogenus_by_classes, gaps_by_classes, naive_members, reachability_gap_sieve
 
 coprime_pairs = [
     (p, q) for p in range(2, 12) for q in range(p + 1, 13) if gcd(p, q) == 1
@@ -184,6 +185,29 @@ class TestAperyForm:
         assert semigroup_from_generators({2, 4, 5}).minimal_generators == (2, 5)
         assert semigroup_from_generators({3, 5, 10}).minimal_generators == (3, 5)
         assert semigroup_from_generators({1, 2}).minimal_generators == (1,)
+
+
+def one_per_class():
+    """One w per class mod m, 1 <= m <= 12, in any order; some w may be negative."""
+    return st.integers(min_value=1, max_value=12).flatmap(
+        lambda m: st.lists(st.integers(min_value=-6, max_value=12), min_size=m, max_size=m)
+        .map(lambda ks: [r + m * k for r, k in enumerate(ks)])
+        .flatmap(st.permutations)
+    )
+
+
+class TestSelmerClosedForm:
+    # such tuples reach cogenus from _shifted_to_genus, whose raw offsets may be negative
+    @given(one_per_class())
+    @example([-3])
+    @example([5, -2, 0])
+    def test_cogenus_is_the_per_class_sum(self, least):
+        assert cogenus(least) == cogenus_by_classes(least)
+
+    @given(one_per_class())
+    @example([7, -3, 2])
+    def test_gaps_below_lists_each_class(self, least):
+        assert gaps_below(least) == gaps_by_classes(least)
 
 
 class TestClosureProperties:

@@ -258,7 +258,7 @@ class TestShiftedToGenus:
                 least = [w + shift for w in m.apery]
                 for _ in range(3):
                     rng.shuffle(least)
-                    assert _shifted_to_genus(least, s.genus) == list(m.apery)
+                    assert _shifted_to_genus(least, s.genus) == m.apery
 
 
 class TestMinimalGenerators:
@@ -546,8 +546,11 @@ class TestSharedSemigroups:
 # what a round trip or an enumeration computes, counted by name: unlike its time,
 # machine-independent
 COUNTED = {
+    # semimodule's own references to numsg's cogenus and gaps_below: a count in
+    # numsg would also see a semigroup's genus, computed once per semigroup
     semimodule: (
         "_least_rotation", "_require_members", "_offsets", "_class_minima", "_checked_apery",
+        "cogenus", "gaps_below",
     ),
     numsg: ("_normalized_generators",),
 }
@@ -569,15 +572,18 @@ def work(monkeypatch):
 class TestWorkCounts:
     @pytest.mark.parametrize("p, q", [(3, 5), (4, 7), (7, 9), (5, 3), (7, 4), (9, 7)])
     def test_one_round_trip(self, work, p, q):
-        # one rotation search, one member-set check and one module check, all
-        # needed; no offset recurrence, class minima or generator normalization,
-        # in either order
+        # one rotation search, one member-set check, one module check and one
+        # gap list, all needed, and Selmer's count once per shift to genus(Γ)
+        # (forward map and the inverse's closing assertion) and once in the
+        # module check; no offset recurrence, class minima or generator
+        # normalization, in either order
         necklace_to_delta(range(1, p + 1), p, q)  # fills the semigroup memo
         for S in combinations(range(1, p + q + 1), p):
             work.clear()
             delta_to_necklace(necklace_to_delta(S, p, q), p, q)
             assert work == {
                 "_least_rotation": 1, "_require_members": 1, "_checked_apery": 1,
+                "cogenus": 3, "gaps_below": 1,
             }, S
 
     @pytest.mark.parametrize("gens, count", [((3, 5), 7), ((5, 6, 9), 27)], ids=["3,5", "5,6,9"])
@@ -587,7 +593,7 @@ class TestWorkCounts:
         s = semigroup_from_generators(gens)
         work.clear()
         assert len(enumerate_delta_sets(s)) == count
-        assert work == {"_checked_apery": count}
+        assert work == {"_checked_apery": count, "cogenus": count, "gaps_below": count}
 
     def test_a_seq_is_derived_once_on_first_read(self, work):
         profile = NecklaceProfile(7, 9, (1, 2, 4, 8, 9, 11, 15))
