@@ -52,7 +52,6 @@ from .semimodule import (
     enumerate_delta_sets,
     minimal_generators,
     necklace_to_delta,
-    normalize_translate,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +86,6 @@ __all__ = [
     "minimal_generators",
     "multiplicity",
     "necklace_to_delta",
-    "normalize_translate",
     "parse_curve",
     "parse_curve_file",
     "parse_singularity",

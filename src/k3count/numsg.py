@@ -10,7 +10,7 @@ smallest generator m, found in O(m^2 + m*|gens|) steps however large
 the Frobenius number is.  Selmer's formulas read the genus, ``cogenus``,
 and the Frobenius number, max(w) - m, off this Apéry set, as do the
 membership test and the generator rule, ``module_generators``, that
-``GammaModule`` shares; ``gap_set`` is built on first read.  ``cogenus``
+``GammaModule`` shares; ``gap_set`` is built on each read, for both.  ``cogenus``
 is the package's one sum(w // m), taken in closed form as
 (sum(w) - m(m-1)/2) / m: that holds for any m integers with one in each
 class mod m, in any order and negative ones included, since their residues
@@ -90,7 +90,7 @@ def module_generators(least, gens) -> tuple[int, ...]:
 
 
 class NumericalSemigroup(Record):
-    """A semigroup given by its generators; ``apery`` is computed, ``gap_set`` when read."""
+    """A semigroup given by its generators; ``apery`` is computed, ``gap_set`` on each read."""
 
     _fields = ("generators",)
 
@@ -101,7 +101,7 @@ class NumericalSemigroup(Record):
             raise ValueError("generators must be a sorted set of positive ints")
         vars(self).update(generators=gens, apery=_apery(gens))
 
-    @cached_property
+    @property
     def gap_set(self) -> tuple[int, ...]:
         return gaps_below(self.apery)
 

@@ -23,15 +23,16 @@ members of D mod min(p, q) are the offsets at the steps of max(p, q): the
 forward map reads them in closed form, and the inverse writes the letter
 of those steps at w * q^-1 mod p+q for each least member w through
 ``NecklaceProfile``'s unchecked path, which stores its least rotation.
-Neither runs the recurrence: a profile derives ``a_seq`` on first read.
+Neither runs the recurrence.
 
 A Delta-set closed under +p, p the smallest generator of Gamma, is fixed
-by ``apery``, its least member w in each class mod p, as Gamma is, and
-membership is Gamma's method.  It is closed under another generator g
+by ``apery``, its least member w in each class mod p, as Gamma is: a
+module stores these p numbers alone, and membership and ``gap_set`` are
+Gamma's methods.  It is closed under another generator g
 exactly when each w + g is a member (Kunz's inequality), and has
 ``cogenus(apery)`` gaps (Selmer).  Translation by s adds s to these p
-numbers and to their cogenus and keeps closure, so ``normalize_translate``
-and the forward map share one shift to genus(Gamma), ``_shifted_to_genus``.
+numbers and to their cogenus and keeps closure, so the forward map takes
+its offsets to genus(Gamma) gaps with one shift, ``_shifted_to_genus``.
 One checked store builds every module: ``GammaModule._of_apery`` takes
 the minima as given, the public constructor finds them in a gap set,
 and ``enumerate_delta_sets`` records them as it places gaps.
@@ -39,13 +40,12 @@ and ``enumerate_delta_sets`` records them as it places gaps.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import accumulate, compress
+from itertools import compress
 from math import comb, gcd
 from operator import index
 
 from ._record import Record
-from .numsg import NumericalSemigroup, _semigroup, cogenus, gaps_below, module_generators
+from .numsg import NumericalSemigroup, _semigroup, cogenus, module_generators
 
 
 class InvalidModuleError(ValueError):
@@ -53,9 +53,9 @@ class InvalidModuleError(ValueError):
 
 
 class GammaModule(Record):
-    """A Delta-set, stored as its finite gap set N minus Delta and ``apery``."""
+    """A Delta-set, stored as ``apery``; its finite gap set N minus Delta is read on demand."""
 
-    _fields = ("semigroup", "gap_set")
+    _fields = ("semigroup", "apery")
 
     def __init__(self, semigroup: NumericalSemigroup, gap_set) -> None:
         gaps = tuple(map(index, gap_set))
@@ -70,11 +70,11 @@ class GammaModule(Record):
 
     def _store(self, semigroup: NumericalSemigroup, least) -> GammaModule:
         """Both constructors end here: check ``least`` with ``_checked_apery``, set every field."""
-        least = _checked_apery(least, semigroup)
-        vars(self).update(semigroup=semigroup, gap_set=gaps_below(least), apery=least)
+        vars(self).update(semigroup=semigroup, apery=_checked_apery(least, semigroup))
         return self
 
     __contains__ = NumericalSemigroup.__contains__
+    gap_set = NumericalSemigroup.gap_set
 
     def __str__(self) -> str:
         return "gaps={" + ",".join(str(g) for g in self.gap_set) + "}"
@@ -119,20 +119,6 @@ def _class_minima(gaps, p: int) -> list[int]:
     if len(gaps) != cogenus(least):
         raise InvalidModuleError(f"not closed under adding {p}")
     return least
-
-
-def normalize_translate(gaps_of_raw_delta, s: NumericalSemigroup) -> GammaModule:
-    """Slide a closed set Delta' to the unique translate with full cogenus.
-
-    The input is given by its gap set.  Delta' holds w0 + Gamma, w0 its
-    least member, so it has at most w0 + genus gaps and the translate lies
-    inside N; anything not Gamma-closed is rejected.
-    """
-    gaps = sorted({index(g) for g in gaps_of_raw_delta})
-    if gaps and gaps[0] < 0:
-        raise ValueError("gap values must be non-negative")
-    least = _class_minima(gaps, s.generators[0])
-    return GammaModule._of_apery(s, _shifted_to_genus(least, s.genus))
 
 
 def _shifted_to_genus(least, genus: int) -> tuple[int, ...]:
@@ -213,16 +199,13 @@ def _pair_semigroup(p: int, q: int) -> NumericalSemigroup:
 
 
 class NecklaceProfile(Record):
-    """A rotation class of p-subsets of {1..p+q} with its offset sequence.
+    """A rotation class of p-subsets of {1..p+q}.
 
     ``members`` may be any rotation of the class; the profile stores the
-    lexicographically smallest one (as a 0/1 characteristic word), so two
-    rotations give equal profiles.  ``a_seq`` is derived for it on first
-    read: a(1..p+q), translated so that the progressions a(s) + p*N over s
-    in members form the cogenus-normalized Delta directly.
+    lexicographically smallest one, so two rotations give equal profiles.
     """
 
-    _fields = ("p", "q", "members", "a_seq")
+    _fields = ("p", "q", "members")
 
     def __init__(self, p: int, q: int, members) -> None:
         p, q = require_coprime(p, q)
@@ -239,16 +222,8 @@ class NecklaceProfile(Record):
         start = _least_rotation(word)
         word = word[start:] + word[:start]
         members = tuple(compress(range(1, n + 1), word))
-        vars(self).update(p=p, q=q, members=members, _word=word)
+        vars(self).update(p=p, q=q, members=members)
         return self
-
-    @cached_property
-    def a_seq(self) -> tuple[int, ...]:
-        p, q = self.p, self.q
-        a = _offsets(self._word, p, q)
-        # the members' offsets are the least members mod p of a translate of Delta
-        shift = cogenus([a[i - 1] for i in self.members]) - (p - 1) * (q - 1) // 2
-        return tuple([v - shift for v in a])
 
 
 def _require_members(members: list[int], p: int, q: int) -> None:
@@ -285,22 +260,19 @@ def _least_rotation(word: bytes) -> int:
     return best
 
 
-def _offsets(word: bytes, p: int, q: int) -> list[int]:
-    """a(1..p+q) from a(1) = p*q, stepping +q after a 1 of ``word``, -p after a 0."""
-    return list(accumulate(map((-p, q).__getitem__, word[:-1]), initial=p * q))
-
-
 def _least_offsets(members, p: int, q: int, genus: int) -> tuple[int, ...]:
     """Least members mod min(p, q) of the module of sorted ``members``, by class.
 
     Up to one shift to cogenus ``genus`` they are a(i) = (p+q)*j - p*i, j
-    members before step i, at the steps of max(p, q): members if p < q, else the others.
+    members before step i, at the steps of max(p, q): members if p < q, else the
+    others, read run by run between consecutive members.
     """
     n = p + q
     if p < q:
         a = [n * j - p * i for j, i in enumerate(members)]
     else:
-        a = [q * i - n * k for k, i in enumerate(sorted(set(range(1, n + 1)) - set(members)))]
+        bounds = [0, *members, n + 1]
+        a = [n * j - p * i for j in range(p + 1) for i in range(bounds[j] + 1, bounds[j + 1])]
     return _shifted_to_genus(a, genus)
 
 

@@ -4,9 +4,9 @@ Everything here is deliberately naive and shares no code with the
 package: coin-change dynamic programming, plain convolution loops, the
 Euler product built factor by factor, the pentagonal-number sign series,
 a straightforward reachability sieve, the semigroup tree built on it,
-member-by-member scans, necklace Delta-sets run off the offset recurrence,
-a least rotation found by trying every start, and Selmer's count and the
-gap list taken one class at a time.
+member-by-member scans, necklace Delta-sets and offset cycles run off the
+offset recurrence, a least rotation found by trying every start, and
+Selmer's count and the gap list taken one class at a time.
 """
 
 from __future__ import annotations
@@ -206,6 +206,21 @@ def necklace_gaps(members, p: int, q: int) -> tuple[int, ...]:
     gaps = [x for x in range(top) if not any(x >= s and (x - s) % p == 0 for s in starts)]
     shift = len(reachability_gap_sieve((p, q))) - len(gaps)
     return tuple(range(shift)) + tuple(g + shift for g in gaps)
+
+
+def offset_cycle(members, p: int, q: int) -> tuple[int, ...]:
+    """a(1..p+q) of a p-subset of {1..p+q} by the offset recurrence, shifted to genus gaps.
+
+    a(1) = p*q, and a(i+1) = a(i) + q after a member i, a(i) - p after
+    another position.  The members' offsets, one per class mod p, are the
+    least members of a translate of the subset's Delta-set, so every
+    offset moves by the one amount that leaves (p-1)(q-1)/2 gaps below them.
+    """
+    a = [p * q]
+    for i in range(1, p + q):
+        a.append(a[-1] + (q if i in members else -p))
+    shift = cogenus_by_classes([a[i - 1] for i in members]) - (p - 1) * (q - 1) // 2
+    return tuple(v - shift for v in a)
 
 
 def least_rotation_start(word) -> int:

@@ -89,8 +89,6 @@ UNREFERENCED = {
     "semimodule.necklace_to_delta": "acceptance-suite API (tests/test_acceptance.py)",
     "semimodule.delta_to_necklace": "acceptance-suite API (tests/test_acceptance.py)",
     "invariants.delta": "Singularity.delta and its overrides: check's total delta against g (ROADMAP item 15)",
-    "semimodule.normalize_translate": "public API (k3count.__all__ and README's semimodule paragraph)",
-    "semimodule.a_seq": "NecklaceProfile field, read through _fields by Record's repr, == and hash",
 }
 
 

@@ -15,6 +15,7 @@ from k3count.semimodule import (
     GammaModule,
     InvalidModuleError,
     NecklaceProfile,
+    _class_minima,
     _least_rotation,
     _shifted_to_genus,
     count_necklaces,
@@ -22,10 +23,15 @@ from k3count.semimodule import (
     enumerate_delta_sets,
     minimal_generators,
     necklace_to_delta,
-    normalize_translate,
 )
 
-from oracles import least_rotation_start, necklace_gaps, scan_closure, scan_minimal_generators
+from oracles import (
+    least_rotation_start,
+    necklace_gaps,
+    offset_cycle,
+    scan_closure,
+    scan_minimal_generators,
+)
 
 SMALL_PAIRS = [
     (p, q)
@@ -87,6 +93,13 @@ class TestEnumerateDeltaSets:
         assert len(mods) >= 1
         assert len({m.gap_set for m in mods}) == len(mods)
 
+    def test_distinct_modules_are_unequal(self):
+        # == and hash read the stored Apéry tuple, not the semigroup alone
+        for gens in [*SMALL_PAIRS, (4, 6, 9)]:
+            mods = enumerate_delta_sets(semigroup_from_generators(gens))
+            assert len(set(mods)) == len(mods)
+            assert all(a != b for a, b in combinations(mods, 2))
+
     def test_every_module_revalidates(self):
         for p, q in SMALL_PAIRS:
             s = semigroup_from_generators({p, q})
@@ -127,8 +140,8 @@ class TestClosureCheck:
 
     def test_bool_gaps_are_stored_as_ints(self):
         m = GammaModule(semigroup_from_generators((2, 3)), (True,))
-        assert type(m.gap_set[0]) is int
-        assert repr(m).endswith("gap_set=(1,))")
+        assert type(m.apery[1]) is int and type(m.gap_set[0]) is int
+        assert repr(m).endswith("apery=(0, 3))")
 
     def test_float_gap_is_a_type_error(self):
         with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
@@ -191,38 +204,41 @@ class TestOfApery:
         assert any(len({w % p for w in least}) < p for least in box)
 
 
+def slid_to_genus(gaps, s):
+    """The module over ``s`` of which N minus sorted ``gaps`` is a translate.
+
+    Its class minima go through the forward map's shift to genus(Γ) gaps.
+    """
+    least = _class_minima(gaps, s.generators[0])
+    return GammaModule._of_apery(s, _shifted_to_genus(least, s.genus))
+
+
 class TestNormalizeTranslate:
+    """A translate of a module, given by its gap set, slides back to genus(Γ) gaps."""
+
     def test_all_of_n_over_two_three(self):
         s = semigroup_from_generators({2, 3})
-        assert normalize_translate(set(), s).gap_set == (0,)
+        assert slid_to_genus((), s).gap_set == (0,)
 
     def test_semigroup_is_already_normalized(self):
         for gens in ({2, 3}, {3, 5}, {4, 6, 9}):
             s = semigroup_from_generators(gens)
-            assert normalize_translate(s.gap_set, s).gap_set == s.gap_set
+            assert slid_to_genus(s.gap_set, s).gap_set == s.gap_set
 
     def test_translated_semigroup_comes_back(self):
         s = semigroup_from_generators({2, 3})
         shifted_gaps = [0, 1, 2, 3, 4, 6]  # the complement of 5 + <2,3>
-        assert normalize_translate(shifted_gaps, s).gap_set == s.gap_set
+        assert slid_to_genus(shifted_gaps, s).gap_set == s.gap_set
 
     def test_not_closed_is_rejected(self):
         s = semigroup_from_generators({2, 3})
         with pytest.raises(InvalidModuleError):
-            normalize_translate({2}, s)  # 0 in Delta but 0 + 2 is a gap
+            slid_to_genus((2,), s)  # 0 in Delta but 0 + 2 is a gap
 
     def test_open_set_needing_negative_positions_is_rejected(self):
         s = semigroup_from_generators({2, 3})
-        with pytest.raises(InvalidModuleError):
-            normalize_translate({1, 3}, s)  # 0 in Delta but 0 + 3 is a gap
-
-    def test_non_integer_gap_is_not_truncated(self):
-        with pytest.raises(TypeError):
-            normalize_translate([0.5], semigroup_from_generators({1}))
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError, match="must be non-negative"):
-            normalize_translate([-1, 0, 1], semigroup_from_generators({3, 5}))
+        with pytest.raises(InvalidModuleError, match="non-negative"):
+            slid_to_genus((1, 3), s)  # 0 in Delta but 0 + 3 is a gap
 
     @pytest.mark.parametrize("gens", [*SMALL_PAIRS, (3, 4, 5), (4, 6, 9)],
                              ids=lambda gens: ",".join(map(str, gens)))
@@ -231,7 +247,7 @@ class TestNormalizeTranslate:
         for m in enumerate_delta_sets(s):
             for n in range(1, 2 * s.generators[0] + 2):
                 shifted = tuple(range(n)) + tuple(g + n for g in m.gap_set)
-                assert normalize_translate(shifted, s) == m
+                assert slid_to_genus(shifted, s) == m
 
     def test_translation_uniqueness(self):
         # shifting a normalized module by any n >= 1 breaks the cogenus,
@@ -415,10 +431,11 @@ class TestDeltaToNecklace:
                 prof = delta_to_necklace(m, p, q)
                 in_s = set(prof.members)
                 shifted = Counter()
+                a = offset_cycle(prof.members, p, q)
                 for i in range(1, p + q + 1):
-                    value = prof.a_seq[i - 1]
+                    value = a[i - 1]
                     shifted[value + q if i in in_s else value - p] += 1
-                assert shifted == Counter(prof.a_seq)
+                assert shifted == Counter(a)
 
     def test_offsets_are_residues_at_stride_q(self):
         # a(k+1) = a(k) + q or a(k) - p, both + q mod p+q: the inverse map
@@ -426,7 +443,7 @@ class TestDeltaToNecklace:
         for p, q in BIJECTION_PAIRS:
             n = p + q
             for m in enumerate_delta_sets(semigroup_from_generators({p, q})):
-                a = delta_to_necklace(m, p, q).a_seq
+                a = offset_cycle(delta_to_necklace(m, p, q).members, p, q)
                 assert len({v % n for v in a}) == n
                 assert all((v - a[0] - k * q) % n == 0 for k, v in enumerate(a))
 
@@ -439,10 +456,10 @@ class TestDeltaToNecklace:
         assert delta_to_necklace(module, p, q).members == members
 
     def test_round_trip_digest_is_frozen(self):
-        # sha256 over one repr line (p, q, S, gap_set, members, a_seq) per
+        # sha256 over one repr line (p, q, S, gap_set, members, offsets) per
         # p-subset S, for every coprime (p, q) with p + q <= 13 in both
         # orders, 12758 round trips: any change to either direction's
-        # output changes it
+        # output changes it; the offsets are the oracle's offset_cycle(members)
         digest = hashlib.sha256()
         for n in range(2, 14):
             for p in range(1, n):
@@ -452,7 +469,7 @@ class TestDeltaToNecklace:
                 for S in combinations(range(1, n + 1), p):
                     m = necklace_to_delta(S, p, q)
                     prof = delta_to_necklace(m, p, q)
-                    line = (p, q, S, m.gap_set, prof.members, prof.a_seq)
+                    line = (p, q, S, m.gap_set, prof.members, offset_cycle(prof.members, p, q))
                     digest.update(f"{line!r}\n".encode())
         assert digest.hexdigest() == (
             "ec55970455432fd04ea208e5c47da8ccada2653474ea8dfd4428f428d5f1bb9a"
@@ -472,9 +489,9 @@ class TestDeltaToNecklace:
         assert delta_to_necklace(module, p, q).members == least
 
     def test_forward_map_matches_the_profile(self):
-        # NecklaceProfile reads the subset's word by the recurrence and is the
-        # oracle for the closed-form offsets: the module's least members mod
-        # p are the profile's member offsets, for every p-subset, both orders
+        # the offset recurrence is the oracle for the closed-form offsets: the
+        # module's least members mod p are the member offsets of the profile's
+        # rotation, for every p-subset, both orders
         for n in range(2, 14):
             for p in range(1, n):
                 q = n - p
@@ -488,7 +505,8 @@ class TestDeltaToNecklace:
                             r += p
                         least.add(r)
                     prof = NecklaceProfile(p, q, S)
-                    assert least == {prof.a_seq[i - 1] for i in prof.members}, (p, q, S)
+                    a = offset_cycle(prof.members, p, q)
+                    assert least == {a[i - 1] for i in prof.members}, (p, q, S)
 
     def test_forward_map_assertion_counts_the_members(self):
         # a module over <3,5> forged past its checks, with two minima at one
@@ -498,8 +516,7 @@ class TestDeltaToNecklace:
         # the minima the forward map gives back shows the lost letter
         for p, q, apery in [(3, 5, (0, -2, 0)), (5, 3, (0, 4, 8))]:
             forged = GammaModule.__new__(GammaModule)
-            vars(forged).update(semigroup=semigroup_from_generators((3, 5)), gap_set=(),
-                                apery=apery)
+            vars(forged).update(semigroup=semigroup_from_generators((3, 5)), apery=apery)
             with pytest.raises(AssertionError):
                 delta_to_necklace(forged, p, q)
 
@@ -514,10 +531,11 @@ class TestDeltaToNecklace:
             s = semigroup_from_generators({p, q})
             for m in enumerate_delta_sets(s):
                 prof = delta_to_necklace(m, p, q)
+                a = offset_cycle(prof.members, p, q)
                 top = max(m.gap_set, default=-1)
                 covered = set()
                 for i in prof.members:
-                    start = prof.a_seq[i - 1]
+                    start = a[i - 1]
                     covered.update(range(start, top + p + 1, p))
                 assert covered == {n for n in range(top + p + 1) if n in m}
 
@@ -546,13 +564,13 @@ class TestSharedSemigroups:
 # what a round trip or an enumeration computes, counted by name: unlike its time,
 # machine-independent
 COUNTED = {
-    # semimodule's own references to numsg's cogenus and gaps_below: a count in
-    # numsg would also see a semigroup's genus, computed once per semigroup
+    # semimodule's own reference to numsg's cogenus: a count in numsg would
+    # also see a semigroup's genus, computed once per semigroup
     semimodule: (
-        "_least_rotation", "_require_members", "_offsets", "_class_minima", "_checked_apery",
-        "cogenus", "gaps_below",
+        "_least_rotation", "_require_members", "_class_minima", "_checked_apery", "cogenus",
     ),
-    numsg: ("_normalized_generators",),
+    # gaps_below, where the gap_set property of semigroups and modules calls it
+    numsg: ("_normalized_generators", "gaps_below"),
 }
 
 
@@ -572,34 +590,34 @@ def work(monkeypatch):
 class TestWorkCounts:
     @pytest.mark.parametrize("p, q", [(3, 5), (4, 7), (7, 9), (5, 3), (7, 4), (9, 7)])
     def test_one_round_trip(self, work, p, q):
-        # one rotation search, one member-set check, one module check and one
-        # gap list, all needed, and Selmer's count once per shift to genus(Γ)
-        # (forward map and the inverse's closing assertion) and once in the
-        # module check; no offset recurrence, class minima or generator
-        # normalization, in either order
+        # one rotation search, one member-set check and one module check, all
+        # needed, and Selmer's count once per shift to genus(Γ) (forward map
+        # and the inverse's closing assertion) and once in the module check;
+        # no gap list, class minima or generator normalization, in either order
         necklace_to_delta(range(1, p + 1), p, q)  # fills the semigroup memo
         for S in combinations(range(1, p + q + 1), p):
             work.clear()
             delta_to_necklace(necklace_to_delta(S, p, q), p, q)
             assert work == {
-                "_least_rotation": 1, "_require_members": 1, "_checked_apery": 1,
-                "cogenus": 3, "gaps_below": 1,
+                "_least_rotation": 1, "_require_members": 1, "_checked_apery": 1, "cogenus": 3,
             }, S
 
     @pytest.mark.parametrize("gens, count", [((3, 5), 7), ((5, 6, 9), 27)], ids=["3,5", "5,6,9"])
     def test_enumeration_builds_each_module_from_its_minima(self, work, gens, count):
         # the search records each module's class minima, so none is worked
-        # out again from its gap list, and each is checked once
+        # out again from a gap list, none builds one, and each is checked once
         s = semigroup_from_generators(gens)
         work.clear()
         assert len(enumerate_delta_sets(s)) == count
-        assert work == {"_checked_apery": count, "cogenus": count, "gaps_below": count}
+        assert work == {"_checked_apery": count, "cogenus": count}
 
-    def test_a_seq_is_derived_once_on_first_read(self, work):
-        profile = NecklaceProfile(7, 9, (1, 2, 4, 8, 9, 11, 15))
-        assert work["_offsets"] == 0
-        assert profile.a_seq is profile.a_seq
-        assert work["_offsets"] == 1
+    def test_each_gap_set_read_builds_one_list(self, work):
+        # gap_set is derived from apery on every read and never stored
+        module = necklace_to_delta((1, 2, 4, 8, 9, 11, 15), 7, 9)
+        for value in (module, module.semigroup):
+            work.clear()
+            assert value.gap_set == value.gap_set
+            assert work == {"gaps_below": 2}
 
 
 class TestLeastRotation:
@@ -630,12 +648,12 @@ def members_read_from(p, q, r):
     return tuple(i + 1 for i, bit in enumerate(word[r:] + word[:r]) if bit)
 
 
-def recurrence_failure(p, q, members, a_seq):
+def recurrence_failure(p, q, members, offsets):
     """First position i with a(i+1) != a(i) + step(i), read cyclically, or None."""
     n = p + q
     return next(
         (i for i in range(1, n + 1)
-         if a_seq[i % n] != a_seq[i - 1] + (q if i in members else -p)),
+         if offsets[i % n] != offsets[i - 1] + (q if i in members else -p)),
         None,
     )
 
@@ -670,42 +688,45 @@ class TestNecklaceProfile:
         least = NecklaceProfile(p, q, members_read_from(p, q, 0))
         for r in range(p + q):
             prof = NecklaceProfile(p, q, members_read_from(p, q, r))
-            assert (prof.members, prof.a_seq) == (least.members, least.a_seq)
+            assert prof.members == least.members
             assert prof == least and hash(prof) == hash(least)
 
-    # The a_seq checks went with the a_seq argument.  Each test below passes
-    # the bad a_seq its check once rejected, which is now refused as an
-    # argument, and asserts that the derived a_seq has what the check demanded.
+    # A profile takes and stores no offsets.  Each test below passes the bad
+    # offsets a check once rejected, which are refused as an argument, and
+    # asserts that the members' offset cycle has what the check demanded.
 
     def test_recurrence_violation_rejected(self):
         prof = NecklaceProfile(2, 3, members_read_from(2, 3, 0))
-        broken = list(prof.a_seq)
+        a = offset_cycle(prof.members, 2, 3)
+        broken = list(a)
         broken[2] += 1
         with pytest.raises(TypeError):
             NecklaceProfile(2, 3, prof.members, tuple(broken))
-        assert recurrence_failure(2, 3, prof.members, prof.a_seq) is None
+        assert recurrence_failure(2, 3, prof.members, a) is None
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
     def test_duplicate_offset_rejected(self, p, q):
         prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
-        duplicated = (prof.a_seq[0],) + prof.a_seq[:-1]
+        a = offset_cycle(prof.members, p, q)
+        duplicated = (a[0],) + a[:-1]
         with pytest.raises(TypeError):
             NecklaceProfile(p, q, prof.members, duplicated)
-        assert len(set(prof.a_seq)) == p + q
+        assert len(set(a)) == p + q
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
     def test_negative_offset_rejected(self, p, q):
         prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
-        lowered = tuple([v - min(prof.a_seq) - 1 for v in prof.a_seq])
+        a = offset_cycle(prof.members, p, q)
+        lowered = tuple([v - min(a) - 1 for v in a])
         with pytest.raises(TypeError):
             NecklaceProfile(p, q, prof.members, lowered)
-        assert min(prof.a_seq) >= 0
+        assert min(a) >= 0
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
     def test_broken_recurrence_names_the_first_failing_position(self, p, q):
         # swapping a(3) and a(4) keeps the values; a(3) = a(2) + step fails first
         prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
-        a = prof.a_seq
+        a = offset_cycle(prof.members, p, q)
         swapped = a[:2] + (a[3], a[2]) + a[4:]
         with pytest.raises(TypeError):
             NecklaceProfile(p, q, prof.members, swapped)
@@ -715,11 +736,11 @@ class TestNecklaceProfile:
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS + [(7, 4)])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_translated_a_seq_rejected(self, p, q, k):
-        # a_seq is computed from the members, so no a_seq may be passed,
-        # not even the profile's own (k = 0)
+        # no offsets may be passed, not even the members' own cycle (k = 0)
         prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
+        a = offset_cycle(prof.members, p, q)
         with pytest.raises(TypeError):
-            NecklaceProfile(p, q, prof.members, tuple([v + k for v in prof.a_seq]))
+            NecklaceProfile(p, q, prof.members, tuple([v + k for v in a]))
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS + [(7, 4)])
     def test_derived_a_seq_is_the_normalized_offset_cycle(self, p, q):
@@ -730,7 +751,7 @@ class TestNecklaceProfile:
             if prof.members in seen:
                 continue
             seen.add(prof.members)
-            a = prof.a_seq
+            a = offset_cycle(prof.members, p, q)
             assert len(a) == n and len(set(a)) == n and min(a) >= 0
             assert recurrence_failure(p, q, prof.members, a) is None, prof.members
             genus = (p - 1) * (q - 1) // 2
