@@ -3,9 +3,8 @@
 epsilon counts the rank-1 torsion-free module classes of a singular
 point; a rational curve contributes the product of epsilon over its
 singular points to the count of rational curves in its linear system.
-Three routes compute it, and each descriptor names the one that gives
-its epsilon (``method``) and runs the independent one that checks it
-(``verify``, which returns a ``Route``):
+Three routes compute it; each descriptor's ``epsilon`` calls the one named
+``method`` and its ``verify`` calls an independent one, returning a ``Route``:
 
 * ``PlanarPQ``, the planar unibranch point u^p = v^q with p and q
   coprime: closed form binomial(p+q,p)/(p+q), checked by Delta-set
@@ -41,7 +40,8 @@ class CurveSpecError(ValueError):
 
 
 class Route(Record):
-    """One route's outcome: ``Route(method, value)``, or ``Route(reason=...)`` if skipped."""
+    """One route's outcome: ``Route(method, value)``, or ``Route(reason=...)`` if skipped;
+    each is one direct call, and tests/test_design_rules.py checks that two share no function."""
 
     _fields = ("method", "value", "reason")
 
@@ -52,9 +52,9 @@ class Route(Record):
 class Singularity:
     """Base for the singular-point descriptors below.
 
-    Each has ``epsilon``, computed by the route named ``method``, and
-    ``verify(max_window=None)``, the ``Route`` of an independent check, skipped
-    when no such route exists or an enumeration window exceeds ``max_window``.
+    ``epsilon`` is one direct call into the route named ``method``, and
+    ``verify(max_window=None)`` one into an independent route; its ``Route`` is
+    skipped when none exists or an enumeration window exceeds ``max_window``.
     """
 
     method: str  # the route that computes ``epsilon``
@@ -84,7 +84,7 @@ class PlanarPQ(Singularity, Record):
         window = s.frobenius + s.genus
         if max_window is not None and window > max_window:
             return Route(reason=f"enumeration window {window} exceeds max-window {max_window}")
-        return Route("enumeration", SemigroupPoint(s).epsilon)
+        return Route("enumeration", epsilon_semigroup(s))
 
     @property
     def delta(self) -> int:
@@ -118,7 +118,7 @@ class Ade(Singularity, Record):
         return epsilon_ade(self)
 
     def verify(self, max_window: int | None = None) -> Route:
-        value = prod(b.epsilon for b in branches_of_ade(self))
+        value = prod(epsilon_pq(b.p, b.q) for b in branches_of_ade(self))
         return Route("branch-product", value)
 
     @property
@@ -148,7 +148,7 @@ class SemigroupPoint(Singularity, Record):
         # <1> is the smooth point pq(1,1)
         gens = self.semigroup.minimal_generators
         if len(gens) <= 2:
-            return Route("closed-form", PlanarPQ(gens[0], gens[-1]).epsilon)
+            return Route("closed-form", epsilon_pq(gens[0], gens[-1]))
         return Route(reason="no independent closed form for this semigroup")
 
     @property

@@ -17,6 +17,7 @@ public API and its independent cross-check, not part of that path.
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import index
 
 from ._record import Record
@@ -110,10 +111,10 @@ def euler_product(exponent: int, order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    # (j, a(j)) for the nonzero a(j) with 0 < j < order, in increasing j
-    terms = [(k * (3 * k + s) // 2, (-1) ** k) for k in range(1, order)
-             for s in (-1, 1) if k * (3 * k + s) // 2 < order]
     coeffs = [1] + [0] * (order - 1)
+    # (j, a(j)) for the nonzero a(j), 0 < j < order, by increasing j; k*k <= j
+    terms = [(k * (3 * k + s) // 2, (-1) ** k) for k in range(1, isqrt(order) + 1)
+             for s in (-1, 1) if k * (3 * k + s) // 2 < order]
     for n in range(1, order):
         acc = 0
         for j, sign in terms:

@@ -112,6 +112,12 @@ class TestEg:
         assert (code, out) == (2, "")
         assert "expected an integer, got " in err
 
+    def test_gmax_past_the_index_size_is_domain_error(self, capsys):
+        # the coefficient list, allocated before any work, cannot be this long
+        code, out, err = run_cli(capsys, "eg", "9999999999999999999999999")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_argument(self, capsys):
         code, _, _ = run_cli(capsys, "eg")
         assert code == 2

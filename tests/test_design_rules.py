@@ -1,4 +1,5 @@
-"""The package stays stdlib-only, computes with exact integers and recurses only where listed."""
+"""The package stays stdlib-only, computes with exact integers, recurses only where listed
+and keeps the two routes to each epsilon apart."""
 
 import ast
 import os
@@ -133,6 +134,93 @@ def test_a_stored_name_is_not_a_read():
         "        return 1\n"
     )
     assert _unreferenced({"points.py": ast.parse(source)}) == {"points.delta"}
+
+
+# Functions both routes of a descriptor may reach, and why each is not a
+# shared route: the walk stops at them.
+ROUTE_INPUTS = {
+    "NumericalSemigroup.__init__": "builds the input semigroup that both routes read",
+    "PlanarPQ.__init__": "builds the input point u^p = v^q that both routes read",
+    "Route.__init__": "stores a route's outcome, computing nothing",
+    "require_coprime": "checks the input p and q",
+}
+
+
+def _loads(node):
+    """Names and attribute names that ``node`` loads, outside annotations."""
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        yield getattr(node, "id", getattr(node, "attr", None))
+    for field, value in ast.iter_fields(node):
+        if field not in ("annotation", "returns"):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield from _loads(child)
+
+
+def _route_overlap(modules, classes):
+    """For each class, the functions that both its ``epsilon`` and its ``verify`` reach.
+
+    Functions are keyed ``Class.method`` or ``function``.  A loaded name
+    leads to every def of that name in ``modules`` and a class name to the
+    class's ``__init__``; the walk stops at ``ROUTE_INPUTS``.
+    """
+    defs, by_name = {}, {}
+    for tree in modules.values():
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            for f in methods:
+                if isinstance(f, ast.FunctionDef):
+                    key = f"{node.name}.{f.name}" if f is not node else f.name
+                    defs[key] = f
+                    by_name.setdefault(f.name, []).append(key)
+            if isinstance(node, ast.ClassDef) and f"{node.name}.__init__" in defs:
+                by_name.setdefault(node.name, []).append(f"{node.name}.__init__")
+
+    def reach(root):
+        seen, todo = set(), [root]
+        while todo:
+            key = todo.pop()
+            if key not in seen and key not in ROUTE_INPUTS:
+                seen.add(key)
+                todo += [k for name in _loads(defs[key]) for k in by_name.get(name, ())]
+        return seen
+
+    return {c: reach(f"{c}.epsilon") & reach(f"{c}.verify") for c in classes}
+
+
+def test_the_two_routes_of_each_descriptor_share_no_function():
+    # aim 3: every epsilon keeps two independent routes.  MultiBranch is
+    # exempt: its routes are the products of its branches' routes.
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    classes = ("PlanarPQ", "Ade", "SemigroupPoint")
+    assert _route_overlap(modules, classes) == {c: set() for c in classes}
+
+
+def test_a_route_through_epsilon_shares_with_epsilon():
+    # by name, ``.epsilon`` reaches every class's epsilon, its own included;
+    # the annotation naming Direct is no call of Direct.__init__
+    source = (
+        "def closed(x):\n"
+        "    return 1\n"
+        "def listed(x):\n"
+        "    return 1\n"
+        "class Hop:\n"
+        "    @property\n"
+        "    def epsilon(self) -> Direct:\n"
+        "        return closed(self)\n"
+        "    def verify(self):\n"
+        "        return Direct(self).epsilon\n"
+        "class Direct:\n"
+        "    def __init__(self, x):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def epsilon(self):\n"
+        "        return listed(self)\n"
+        "    def verify(self):\n"
+        "        return closed(self)\n"
+    )
+    overlap = _route_overlap({"points.py": ast.parse(source)}, ("Hop", "Direct"))
+    assert overlap == {"Hop": {"Hop.epsilon", "closed"}, "Direct": set()}
 
 
 def test_exports_are_exactly_the_imported_names():

@@ -4,7 +4,8 @@ Each crashing input raises RecursionError from ``main(argv)`` within a few
 milliseconds.  Its test is expected to fail with exactly that error, so a fix
 turns it into an XPASS, which strict mode reports as a failure: the fixing
 change then moves the entry to ``cli_golden.json`` or a named regression test.
-Inputs that run without bound are listed with no test.
+Inputs that run without bound, or that end in a MemoryError traceback, are
+listed with no test.
 """
 
 import json
@@ -31,7 +32,7 @@ def argv_of(defect) -> list[str]:
 def test_ledger_entries_are_complete():
     assert len({d["id"] for d in DEFECTS}) == len(DEFECTS)
     for d in DEFECTS:
-        assert d["now"] in ("RecursionError", "unbounded time", "unbounded memory"), d["id"]
+        assert d["now"] in ("RecursionError", "MemoryError", "unbounded time", "unbounded memory"), d["id"]
         assert d["fixed_by"] and all(isinstance(item, int) for item in d["fixed_by"]), d["id"]
         assert d["accepted"] and all("exit" in outcome for outcome in d["accepted"]), d["id"]
         assert all(isinstance(arg, str) for arg in argv_of(d)), d["id"]

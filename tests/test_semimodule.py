@@ -743,7 +743,7 @@ class TestNecklaceProfile:
             NecklaceProfile(p, q, prof.members, tuple([v + k for v in a]))
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS + [(7, 4)])
-    def test_derived_a_seq_is_the_normalized_offset_cycle(self, p, q):
+    def test_each_profile_has_a_normalized_offset_cycle(self, p, q):
         n = p + q
         seen = set()
         for S in combinations(range(1, n + 1), p):
