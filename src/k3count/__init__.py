@@ -8,6 +8,8 @@ e(g) sequence, epsilon by enumeration, by closed form, and by the ADE
 table, and the resulting curve multiplicities.
 """
 
+import types as _types
+
 from .invariants import (
     Ade,
     CurveRecord,
@@ -56,42 +58,9 @@ from .semimodule import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ade",
-    "CurveRecord",
-    "CurveSpecError",
-    "GammaModule",
-    "GenusSumReport",
-    "InfiniteComplementError",
-    "InvalidModuleError",
-    "MultiBranch",
-    "NODE",
-    "NecklaceProfile",
-    "NonInvertibleError",
-    "NumericalSemigroup",
-    "PlanarPQ",
-    "Route",
-    "SemigroupPoint",
-    "Singularity",
-    "TruncatedSeries",
-    "branches_of_ade",
-    "check_genus_sum",
-    "count_necklaces",
-    "delta_to_necklace",
-    "enumerate_delta_sets",
-    "epsilon_ade",
-    "epsilon_pq",
-    "epsilon_semigroup",
-    "euler_product",
-    "minimal_generators",
-    "multiplicity",
-    "necklace_to_delta",
-    "parse_curve",
-    "parse_curve_file",
-    "parse_singularity",
-    "semigroup_from_generators",
-    "series_inv",
-    "series_mul",
-    "series_one",
-    "yau_zaslow_coefficients",
-]
+# the public API is what the imports above bind, less the submodules that
+# importing them binds too (invariants, numsg, qseries, semimodule)
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 for success (including a matching ``check``), 1 for domain
-errors such as non-coprime inputs, 2 for usage and parse errors (a curve
-file that cannot be opened or is not UTF-8 included), 3 for a ``check``
-that ran but did not match.  Each subcommand returns its exit code, its JSON
-record and its text lines (formatted only when iterated); ``main`` prints.
+errors such as non-coprime inputs and for running out of memory, 2 for
+usage and parse errors (a curve file that cannot be opened or is not
+UTF-8 included), 3 for a ``check`` that ran but did not match.  Each
+subcommand returns its exit code, its JSON record and its text lines
+(formatted only when iterated); ``main`` prints.
 """
 
 from __future__ import annotations
@@ -173,6 +174,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OverflowError) as exc:  # an input too large for a list or comb
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # an input too large for this machine's memory
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

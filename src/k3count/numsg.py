@@ -14,8 +14,9 @@ membership test and the generator rule, ``module_generators``, that
 is the package's one sum(w // m), taken in closed form as
 (sum(w) - m(m-1)/2) / m: that holds for any m integers with one in each
 class mod m, in any order and negative ones included, since their residues
-are then 0, 1, ..., m-1.  ``semigroup_from_generators`` returns one shared
-immutable instance per distinct generator set.
+are then 0, 1, ..., m-1.  ``semigroup_from_generators`` keeps its 1024
+most recent generator sets, so a repeated set usually, not always, gives
+the same instance: compare semigroups with ``==``.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     is not required.  Raises ``InfiniteComplementError`` when their gcd
     exceeds 1, ``ValueError`` for an empty or non-positive input and
     ``TypeError`` for a generator that is not an integer.
-    Every call with the same generator set returns one shared instance.
+    A generator set among the 1024 most recently built returns the same
+    instance; an older one is built again, equal but not identical.
     """
     return _semigroup(_normalized_generators(gens))
 

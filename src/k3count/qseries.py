@@ -67,13 +67,8 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     order = min(a.order, b.order)
     out = [0] * order
     for i in range(order):
-        ca = a.coeffs[i]
-        if ca == 0:
-            continue
         for j in range(order - i):
-            cb = b.coeffs[j]
-            if cb:
-                out[i + j] += ca * cb
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
     return TruncatedSeries(tuple(out))
 
 
@@ -91,12 +86,7 @@ def series_inv(a: TruncatedSeries) -> TruncatedSeries:
         )
     inv = [c0] + [0] * (a.order - 1)
     for n in range(1, a.order):
-        acc = 0
-        for k in range(1, n + 1):
-            ak = a.coeffs[k]
-            if ak:
-                acc += ak * inv[n - k]
-        inv[n] = -c0 * acc
+        inv[n] = -c0 * sum(a.coeffs[k] * inv[n - k] for k in range(1, n + 1))
     return TruncatedSeries(tuple(inv))
 
 

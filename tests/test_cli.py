@@ -1,11 +1,15 @@
 """Command line behaviour: golden text, JSON shape, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import k3count
 from k3count import PlanarPQ, Route
 from k3count.cli import main
 
@@ -117,6 +121,20 @@ class TestEg:
         code, out, err = run_cli(capsys, "eg", "9999999999999999999999999")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_gmax_past_memory_is_a_clean_error(self):
+        # a child under a 1 GiB address-space cap: in-process, the 10**12
+        # coefficients could reach the OOM killer on a machine that overcommits
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from k3count.cli import main; sys.exit(main(['eg', '1000000000000']))"
+        )
+        src = str(Path(k3count.__file__).parents[1])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: out of memory\n"
 
     def test_missing_argument(self, capsys):
         code, _, _ = run_cli(capsys, "eg")

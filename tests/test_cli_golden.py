@@ -5,9 +5,8 @@ reads (``files``: name to text, written to the working directory), and the
 ``code`` and ``stdout`` that ``main(argv)`` gave when the corpus was
 recorded.  It covers every subcommand in text and JSON, global flags
 before and after the subcommand (the later one wins when both are given),
-``--verify``, ``--max-window`` and exits 0, 1, 2 and 3.  The known crashing inputs (``modules 2,1001``,
-``epsilon pq(2,1001) --verify`` and deeply nested ``branches[``) are not
-in it.
+``--verify``, ``--max-window`` and exits 0, 1, 2 and 3.  The inputs that
+k3count still mishandles are not in it: ``known_defects.json`` lists them.
 """
 
 import json

@@ -11,13 +11,17 @@ import pytest
 
 import k3count
 
-SOURCES = sorted(Path(k3count.__file__).parent.glob("*.py"))
+# each src/ file name and its parsed source, read once for every rule below
+SOURCES = {
+    path.name: ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(Path(k3count.__file__).parent.glob("*.py"))
+}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
-def test_stdlib_imports_and_exact_integers(path):
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+@pytest.mark.parametrize("file_name", SOURCES)
+def test_stdlib_imports_and_exact_integers(file_name):
+    for node in ast.walk(SOURCES[file_name]):
+        where = f"{file_name}:{getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Import):
             for alias in node.names:
                 assert alias.name.split(".")[0] in sys.stdlib_module_names, where
@@ -52,12 +56,12 @@ def _self_calls():
     property read (``b.epsilon``) or through ``str(b)`` is not caught.
     """
     found = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for file_name, tree in SOURCES.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 funcs = (c.func for c in ast.walk(node) if isinstance(c, ast.Call))
                 if any(getattr(f, "id", getattr(f, "attr", None)) == node.name for f in funcs):
-                    found.add(f"{path.stem}.{node.name}")
+                    found.add(f"{file_name.removesuffix('.py')}.{node.name}")
     return found
 
 
@@ -68,12 +72,12 @@ def test_every_recursion_is_allowlisted():
 def _shared_bodies():
     """Names of the functions in src/ with the same body, past any docstring, per body."""
     names = {}
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for file_name, tree in SOURCES.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 body = node.body[1:] if ast.get_docstring(node) is not None else node.body
                 key = tuple(ast.dump(stmt) for stmt in body)
-                names.setdefault(key, []).append(f"{path.stem}.{node.name}")
+                names.setdefault(key, []).append(f"{file_name.removesuffix('.py')}.{node.name}")
     return [found for found in names.values() if len(found) > 1]
 
 
@@ -119,8 +123,7 @@ def _unreferenced(modules):
 
 
 def test_every_unreferenced_name_is_allowlisted():
-    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    assert _unreferenced(modules) == set(UNREFERENCED)
+    assert _unreferenced(SOURCES) == set(UNREFERENCED)
 
 
 def test_a_stored_name_is_not_a_read():
@@ -191,9 +194,8 @@ def _route_overlap(modules, classes):
 def test_the_two_routes_of_each_descriptor_share_no_function():
     # aim 3: every epsilon keeps two independent routes.  MultiBranch is
     # exempt: its routes are the products of its branches' routes.
-    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     classes = ("PlanarPQ", "Ade", "SemigroupPoint")
-    assert _route_overlap(modules, classes) == {c: set() for c in classes}
+    assert _route_overlap(SOURCES, classes) == {c: set() for c in classes}
 
 
 def test_a_route_through_epsilon_shares_with_epsilon():
@@ -233,3 +235,9 @@ def test_exports_are_exactly_the_imported_names():
     assert set(k3count.__all__) == imported
     assert len(k3count.__all__) == len(imported)
     assert all(hasattr(k3count, name) for name in k3count.__all__)
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from k3count import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == k3count.__all__

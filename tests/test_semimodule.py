@@ -695,15 +695,6 @@ class TestNecklaceProfile:
     # offsets a check once rejected, which are refused as an argument, and
     # asserts that the members' offset cycle has what the check demanded.
 
-    def test_recurrence_violation_rejected(self):
-        prof = NecklaceProfile(2, 3, members_read_from(2, 3, 0))
-        a = offset_cycle(prof.members, 2, 3)
-        broken = list(a)
-        broken[2] += 1
-        with pytest.raises(TypeError):
-            NecklaceProfile(2, 3, prof.members, tuple(broken))
-        assert recurrence_failure(2, 3, prof.members, a) is None
-
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
     def test_duplicate_offset_rejected(self, p, q):
         prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
@@ -721,17 +712,6 @@ class TestNecklaceProfile:
         with pytest.raises(TypeError):
             NecklaceProfile(p, q, prof.members, lowered)
         assert min(a) >= 0
-
-    @pytest.mark.parametrize("p,q", PROFILE_PAIRS)
-    def test_broken_recurrence_names_the_first_failing_position(self, p, q):
-        # swapping a(3) and a(4) keeps the values; a(3) = a(2) + step fails first
-        prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
-        a = offset_cycle(prof.members, p, q)
-        swapped = a[:2] + (a[3], a[2]) + a[4:]
-        with pytest.raises(TypeError):
-            NecklaceProfile(p, q, prof.members, swapped)
-        assert recurrence_failure(p, q, prof.members, swapped) == 2
-        assert recurrence_failure(p, q, prof.members, a) is None
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS + [(7, 4)])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
