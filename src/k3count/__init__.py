@@ -6,61 +6,47 @@ curve weighted by the product of the epsilon invariants of its singular
 points.  This package computes every number in that story exactly: the
 e(g) sequence, epsilon by enumeration, by closed form, and by the ADE
 table, and the resulting curve multiplicities.
+
+``import k3count`` imports no submodule: each public name below imports
+the submodule that owns it on first access (PEP 562), so a caller pays
+start-up only for the layers it uses.
 """
 
-import types as _types
-
-from .invariants import (
-    Ade,
-    CurveRecord,
-    CurveSpecError,
-    GenusSumReport,
-    MultiBranch,
-    NODE,
-    PlanarPQ,
-    Route,
-    SemigroupPoint,
-    Singularity,
-    branches_of_ade,
-    check_genus_sum,
-    epsilon_ade,
-    epsilon_pq,
-    epsilon_semigroup,
-    multiplicity,
-    parse_curve,
-    parse_curve_file,
-    parse_singularity,
-)
-from .numsg import (
-    InfiniteComplementError,
-    NumericalSemigroup,
-    semigroup_from_generators,
-)
-from .qseries import (
-    NonInvertibleError,
-    TruncatedSeries,
-    euler_product,
-    series_inv,
-    series_mul,
-    series_one,
-    yau_zaslow_coefficients,
-)
-from .semimodule import (
-    GammaModule,
-    InvalidModuleError,
-    NecklaceProfile,
-    count_necklaces,
-    delta_to_necklace,
-    enumerate_delta_sets,
-    minimal_generators,
-    necklace_to_delta,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# the public API is what the imports above bind, less the submodules that
-# importing them binds too (invariants, numsg, qseries, semimodule)
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
-)
+# the public API, by the submodule that owns each name
+_EXPORTS = {
+    "invariants": (
+        "Ade", "CurveRecord", "CurveSpecError", "GenusSumReport", "MultiBranch",
+        "NODE", "PlanarPQ", "Route", "SemigroupPoint", "Singularity",
+        "branches_of_ade", "check_genus_sum", "epsilon_ade", "epsilon_pq",
+        "epsilon_semigroup", "multiplicity", "parse_curve", "parse_curve_file",
+        "parse_singularity",
+    ),
+    "numsg": ("InfiniteComplementError", "NumericalSemigroup", "semigroup_from_generators"),
+    "qseries": (
+        "NonInvertibleError", "TruncatedSeries", "euler_product", "series_inv",
+        "series_mul", "series_one", "yau_zaslow_coefficients",
+    ),
+    "semimodule": (
+        "GammaModule", "InvalidModuleError", "NecklaceProfile", "count_necklaces",
+        "delta_to_necklace", "enumerate_delta_sets", "minimal_generators",
+        "necklace_to_delta",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _OWNER.keys())

@@ -1,4 +1,19 @@
-"""The immutable base of the package's value classes."""
+"""What the package needs before it computes anything, with no dependencies.
+
+``Record``, the immutable base of the value classes; ``CurveSpecError``
+and ``_INTEGER``, the integer syntax of the singularity mini-language,
+which ``cli`` reads before it dispatches and ``invariants`` re-exports.
+"""
+
+import re
+
+# the integer syntax of sg(…) and of CLI integers: int() would also take
+# '+3', '1_0' and '٣'
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+class CurveSpecError(ValueError):
+    """A singularity or curve description failed to parse."""
 
 
 class Record:

@@ -6,30 +6,23 @@ usage and parse errors (a curve file that cannot be opened or is not
 UTF-8 included), 3 for a ``check`` that ran but did not match.  Each
 subcommand returns its exit code, its JSON record and its text lines
 (formatted only when iterated); ``main`` prints.
+
+Each process runs one subcommand, so each ``_cmd_*`` imports the modules it
+calls and ``json`` is imported only to render JSON: ``eg`` loads
+``qseries`` alone.  This module's top imports only what ``main`` needs
+before it dispatches, from ``_record``, which depends on nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .invariants import (
-    _INTEGER,
-    CurveSpecError,
-    _int_values,
-    check_genus_sum,
-    parse_curve,
-    parse_curve_file,
-    parse_singularity,
-)
-from .numsg import semigroup_from_generators
-from .qseries import yau_zaslow_coefficients
-from .semimodule import enumerate_delta_sets, minimal_generators
+from ._record import _INTEGER, CurveSpecError
 
 
 def _nonneg(text: str) -> int:
-    # the integer syntax of sg(…): int() would also take '+3', '1_0' and '٣'
+    # the integer syntax of sg(…)
     if _INTEGER.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if text.startswith("-"):
@@ -96,12 +89,16 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _cmd_eg(args) -> tuple:
+    from .qseries import yau_zaslow_coefficients
+
     coeffs = yau_zaslow_coefficients(args.gmax)
     record = [{"g": g, "e": e} for g, e in enumerate(coeffs)]
     return 0, record, (f"{g}\t{e}" for g, e in enumerate(coeffs))
 
 
 def _cmd_epsilon(args) -> tuple:
+    from .invariants import parse_singularity
+
     sing = parse_singularity(args.token)
     eps = sing.epsilon
     record = {"token": str(sing), "epsilon": eps, "method": sing.method}
@@ -117,11 +114,15 @@ def _cmd_epsilon(args) -> tuple:
             code = 0 if agrees else 1
             record["verify"] = {"method": route.method, "value": route.value, "agrees": agrees}
             text += [("verify-method", route.method), ("verify-value", route.value)]
-            text.append(("verified", json.dumps(agrees)))
+            text.append(("verified", str(agrees).lower()))  # JSON's true or false
     return code, record, (f"{key} = {value}" for key, value in text)
 
 
 def _cmd_modules(args) -> tuple:
+    from .invariants import _int_values
+    from .numsg import semigroup_from_generators
+    from .semimodule import enumerate_delta_sets, minimal_generators
+
     gens = _int_values(args.generators, args.generators)
     modules = enumerate_delta_sets(semigroup_from_generators(gens))
     rows = [(m, minimal_generators(m)) for m in modules]
@@ -136,6 +137,8 @@ def _cmd_modules(args) -> tuple:
 
 
 def _cmd_multiplicity(args) -> tuple:
+    from .invariants import parse_curve
+
     curve = parse_curve(args.curve)
     points = [{"token": str(s), "epsilon": s.epsilon} for s in curve.singularities]
     record = {"singularities": points, "multiplicity": curve.multiplicity}
@@ -145,6 +148,8 @@ def _cmd_multiplicity(args) -> tuple:
 
 
 def _cmd_check(args) -> tuple:
+    from .invariants import check_genus_sum, parse_curve_file
+
     with open(args.file, encoding="utf-8") as handle:
         curves = parse_curve_file(handle.read())
     report = check_genus_sum(curves, args.g)
@@ -155,7 +160,7 @@ def _cmd_check(args) -> tuple:
         "equal": report.equal,
     }
     # each text line is a key and its JSON value: digits, true or false
-    lines = (f"{key} = {json.dumps(value)}" for key, value in record.items())
+    lines = (f"{key} = {str(value).lower()}" for key, value in record.items())
     return (0 if report.equal else 3), record, lines
 
 
@@ -167,7 +172,11 @@ def main(argv=None) -> int:
         code, record, lines = args.func(args)
         # rendering stays inside the try: a failed write to stdout, such as
         # a closed pipe, is an OSError and exits 2 like any other
-        print(json.dumps(record, indent=2) if args.json else "\n".join(lines))
+        if args.json:
+            import json
+
+            lines = [json.dumps(record, indent=2)]
+        print("\n".join(lines))
         return code
     except (CurveSpecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

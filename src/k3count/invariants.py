@@ -29,14 +29,9 @@ from itertools import accumulate
 from math import prod
 from operator import index as _index
 
-from ._record import Record
+from ._record import _INTEGER, CurveSpecError, Record
 from .numsg import NumericalSemigroup, semigroup_from_generators
-from .qseries import yau_zaslow_coefficients
 from .semimodule import _pair_semigroup, count_necklaces, enumerate_delta_sets, require_coprime
-
-
-class CurveSpecError(ValueError):
-    """A singularity or curve description failed to parse."""
 
 
 class Route(Record):
@@ -264,6 +259,8 @@ def check_genus_sum(curves, g: int) -> GenusSumReport:
     the curve list, and this artifact has no surface model to derive it
     from.
     """
+    from .qseries import yau_zaslow_coefficients  # only check reads e(g)
+
     if g < 0:
         raise ValueError("g must be non-negative")
     total = sum(c.multiplicity for c in curves)
@@ -288,7 +285,6 @@ def check_genus_sum(curves, g: int) -> GenusSumReport:
 
 _HEAD = re.compile(r"\s*(?:(node)|([ADE])([0-9]+)|(pq|sg)\(([^()\[\]]*)\)|(branches)\[)")
 _SPACE = re.compile(r"\s*")
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _int_values(body: str, token: str) -> list[int]:

@@ -5,6 +5,7 @@ import ast
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -31,14 +32,30 @@ def test_stdlib_imports_and_exact_integers(file_name):
         assert not isinstance(node, ast.Div), where
 
 
-def test_cli_starts_without_dataclasses_or_inspect():
-    # each CLI call is a fresh process, so start-up imports are paid every time
+def _last_line(code):
+    """The last line that ``code`` prints in a fresh interpreter."""
     src = str(Path(k3count.__file__).parents[1])
-    code = ("import sys, k3count.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.strip() == "[]"
+    return out.splitlines()[-1]
+
+
+def _loaded_after(code):
+    """The k3count modules, and which of dataclasses, inspect and json, that
+    a fresh interpreter has loaded after running ``code``."""
+    return _last_line(code + "\nimport sys\nprint(sorted(m for m in sys.modules"
+                      " if m.startswith('k3count') or m in ('dataclasses', 'inspect', 'json')))")
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # each CLI call is a fresh process, so start-up imports are paid every time
+    assert _loaded_after("import k3count.cli") == "['k3count', 'k3count._record', 'k3count.cli']"
+    assert _loaded_after("import k3count") == "['k3count']"
+    # a subcommand loads only the modules it calls, and json only for --json
+    eg = _loaded_after("from k3count.cli import main; main(['eg', '3'])")
+    assert eg == "['k3count', 'k3count._record', 'k3count.cli', 'k3count.qseries']"
+    epsilon = _loaded_after("from k3count.cli import main; main(['epsilon', 'pq(3,5)'])")
+    assert "'json'" not in epsilon and "'k3count.qseries'" not in epsilon
 
 
 # Each function in src/ that calls its own name, and what bounds its depth.
@@ -102,7 +119,7 @@ def _unreferenced(modules):
 
     ``modules`` maps each file name to its parsed source.  A read is a
     loaded ``Name`` or ``Attribute``, or an imported name, in any file but
-    ``__init__.py``, whose imports only re-export; a store, such as a class
+    ``__init__.py``, which only declares the public API; a store, such as a class
     attribute sharing a method's name, is not one.  A reference inside the
     function's own body counts.
     """
@@ -225,16 +242,15 @@ def test_a_route_through_epsilon_shares_with_epsilon():
     assert overlap == {"Hop": {"Hop.epsilon", "closed"}, "Direct": set()}
 
 
-def test_exports_are_exactly_the_imported_names():
-    tree = ast.parse(Path(k3count.__file__).read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert set(k3count.__all__) == imported
-    assert len(k3count.__all__) == len(imported)
-    assert all(hasattr(k3count, name) for name in k3count.__all__)
+def test_exports_are_exactly_the_declared_names():
+    declared = [name for names in k3count._EXPORTS.values() for name in names]
+    assert k3count.__all__ == sorted(set(declared)) and len(declared) == len(set(declared))
+    for module, names in k3count._EXPORTS.items():
+        owner = import_module(f"k3count.{module}")
+        for name in names:
+            assert getattr(k3count, name) is getattr(owner, name), name
+    # before any name is read, as in a fresh interpreter
+    assert _last_line("import k3count; print(sorted(set(k3count.__all__) - set(dir(k3count))))") == "[]"
 
 
 def test_star_import_binds_exactly_the_exports():
