@@ -1,8 +1,8 @@
 """What the package needs before it computes anything, with no dependencies.
 
-``Record``, the immutable base of the value classes; ``CurveSpecError``
-and ``_INTEGER``, the integer syntax of the singularity mini-language,
-which ``cli`` reads before it dispatches and ``invariants`` re-exports.
+``Record``, the immutable base of the value classes; ``CurveSpecError``; and the
+mini-language's integer syntax, ``_INTEGER``, and its comma-separated list, ``_int_values``,
+which ``cli`` reads for ``modules`` and ``invariants`` for ``pq(…)`` and ``sg(…)``.
 """
 
 import re
@@ -14,6 +14,13 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 class CurveSpecError(ValueError):
     """A singularity or curve description failed to parse."""
+
+
+def _int_values(body: str, token: str) -> list[int]:
+    items = [piece.strip() for piece in body.split(",")]
+    if not all(_INTEGER.fullmatch(piece) for piece in items):
+        raise CurveSpecError(f"expected a comma-separated integer list in {token!r}")
+    return [int(piece) for piece in items]
 
 
 class Record:

@@ -9,8 +9,8 @@ subcommand returns its exit code, its JSON record and its text lines
 
 Each process runs one subcommand, so each ``_cmd_*`` imports the modules it
 calls and ``json`` is imported only to render JSON: ``eg`` loads
-``qseries`` alone.  This module's top imports only what ``main`` needs
-before it dispatches, from ``_record``, which depends on nothing.
+``qseries`` alone.  The top imports come from ``_record``, which depends on
+nothing: what ``main`` needs before it dispatches and ``modules``' integer list.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._record import _INTEGER, CurveSpecError
+from ._record import _INTEGER, CurveSpecError, _int_values
 
 
 def _nonneg(text: str) -> int:
@@ -119,7 +119,6 @@ def _cmd_epsilon(args) -> tuple:
 
 
 def _cmd_modules(args) -> tuple:
-    from .invariants import _int_values
     from .numsg import semigroup_from_generators
     from .semimodule import enumerate_delta_sets, minimal_generators
 

@@ -29,9 +29,9 @@ from itertools import accumulate
 from math import prod
 from operator import index as _index
 
-from ._record import _INTEGER, CurveSpecError, Record
+from ._record import CurveSpecError, Record, _int_values
 from .numsg import NumericalSemigroup, semigroup_from_generators
-from .semimodule import _pair_semigroup, count_necklaces, enumerate_delta_sets, require_coprime
+from .semimodule import count_necklaces, enumerate_delta_sets, require_coprime
 
 
 class Route(Record):
@@ -75,7 +75,7 @@ class PlanarPQ(Singularity, Record):
         return epsilon_pq(self.p, self.q)
 
     def verify(self, max_window: int | None = None) -> Route:
-        s = _pair_semigroup(self.p, self.q)
+        s = semigroup_from_generators((self.p, self.q))
         window = s.frobenius + s.genus
         if max_window is not None and window > max_window:
             return Route(reason=f"enumeration window {window} exceeds max-window {max_window}")
@@ -285,13 +285,6 @@ def check_genus_sum(curves, g: int) -> GenusSumReport:
 
 _HEAD = re.compile(r"\s*(?:(node)|([ADE])([0-9]+)|(pq|sg)\(([^()\[\]]*)\)|(branches)\[)")
 _SPACE = re.compile(r"\s*")
-
-
-def _int_values(body: str, token: str) -> list[int]:
-    items = [piece.strip() for piece in body.split(",")]
-    if not all(_INTEGER.fullmatch(piece) for piece in items):
-        raise CurveSpecError(f"expected a comma-separated integer list in {token!r}")
-    return [int(piece) for piece in items]
 
 
 def _parse(text: str, pos: int, ends: tuple[str, ...]) -> tuple[Singularity, int]:

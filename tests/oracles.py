@@ -41,15 +41,6 @@ def colored_partition_counts(gmax: int, colors: int = 24) -> list[int]:
     return dp
 
 
-def colored_by_convolution(gmax: int, colors: int = 24) -> list[int]:
-    """The same counts via a ``colors``-fold convolution of p(n)."""
-    p = partition_numbers(gmax)
-    acc = [1] + [0] * gmax
-    for _ in range(colors):
-        acc = convolve(acc, p)
-    return acc
-
-
 def euler_power(exponent: int, order: int) -> list[int]:
     """prod (1 - q^n)^exponent to ``order`` terms, factor by factor.
 

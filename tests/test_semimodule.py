@@ -213,7 +213,7 @@ def slid_to_genus(gaps, s):
     return GammaModule._of_apery(s, _shifted_to_genus(least, s.genus))
 
 
-class TestNormalizeTranslate:
+class TestTranslateSlidesBackToGenus:
     """A translate of a module, given by its gap set, slides back to genus(Γ) gaps."""
 
     def test_all_of_n_over_two_three(self):
