@@ -14,9 +14,9 @@ membership test and the generator rule, ``module_generators``, that
 is the package's one sum(w // m), taken in closed form as
 (sum(w) - m(m-1)/2) / m: that holds for any m integers with one in each
 class mod m, in any order and negative ones included, since their residues
-are then 0, 1, ..., m-1.  ``semigroup_from_generators`` keeps its 1024
-most recent generator sets, so a repeated set usually, not always, gives
-the same instance: compare semigroups with ``==``.
+are then 0, 1, ..., m-1.  ``semigroup_from_generators`` and, unchecked
+for coprime p, q, ``pair_semigroup`` share one cache of recent instances
+keyed by sorted distinct generators: compare semigroups with ``==``.
 """
 
 from __future__ import annotations
@@ -144,6 +144,11 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     instance; an older one is built again, equal but not identical.
     """
     return _semigroup(_normalized_generators(gens))
+
+
+def pair_semigroup(p: int, q: int) -> NumericalSemigroup:
+    """<p,q> for positive coprime ints p, q, the instance ``semigroup_from_generators`` caches."""
+    return _semigroup((p, q) if p < q else (q, p) if q < p else (p,))
 
 
 @lru_cache(maxsize=1024)

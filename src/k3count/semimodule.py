@@ -45,7 +45,7 @@ from math import comb, gcd
 from operator import index
 
 from ._record import Record
-from .numsg import NumericalSemigroup, _semigroup, cogenus, module_generators
+from .numsg import NumericalSemigroup, cogenus, module_generators, pair_semigroup
 
 
 class InvalidModuleError(ValueError):
@@ -135,16 +135,16 @@ def _shifted_to_genus(least, genus: int) -> tuple[int, ...]:
 def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
     """All Delta-sets for ``s``, sorted by gap set, as ``walk`` tries gap before member.
 
-    Every gap of a Delta-set is at most frobenius + genus: the minimal
-    element m satisfies m <= genus (everything below it is a gap) and
-    m + Gamma is contained in Delta, so no gap exceeds m + frobenius.
+    Every gap x of a Delta-set is at most 2*genus - 1: x - t is a gap for
+    each t in Gamma with t <= x, at least x + 1 - genus of them, and there
+    are only genus gaps.  A translate of the canonical ideal reaches it.
     The search walks positions 0..bound deciding gap or member, pruning
     when a gap would sit above member + generator, when the gap budget is
     spent, or when too few positions remain to spend it.  A gap at pos sets
     its class's least member mod p to pos + p, so a leaf holds the Apéry tuple.
     """
     genus = s.genus
-    bound = s.frobenius + genus
+    bound = 2 * genus - 1
     gens = s.generators
     p = gens[0]
     member = [False] * (bound + 1)
@@ -191,11 +191,6 @@ def require_coprime(p: int, q: int) -> tuple[int, int]:
     if gcd(p, q) != 1:
         raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
     return p, q
-
-
-def _pair_semigroup(p: int, q: int) -> NumericalSemigroup:
-    """The shared <p,q> for ints p, q that ``require_coprime`` has passed."""
-    return _semigroup((p, q) if p < q else (q, p) if q < p else (p,))
 
 
 class NecklaceProfile(Record):
@@ -285,7 +280,7 @@ def necklace_to_delta(members, p: int, q: int) -> GammaModule:
     p, q = require_coprime(p, q)
     members = sorted(map(index, members))
     _require_members(members, p, q)
-    gamma = _pair_semigroup(p, q)
+    gamma = pair_semigroup(p, q)
     return GammaModule._of_apery(gamma, _least_offsets(members, p, q, gamma.genus))
 
 
@@ -298,7 +293,7 @@ def delta_to_necklace(m: GammaModule, p: int, q: int) -> NecklaceProfile:
     rotation of the class, which names its profile with no member check.
     """
     p, q = require_coprime(p, q)
-    gamma = _pair_semigroup(p, q)
+    gamma = pair_semigroup(p, q)
     if m.semigroup is not gamma and m.semigroup.apery != gamma.apery:
         raise ValueError(f"module lives over {m.semigroup}, not over {gamma}")
     n = p + q

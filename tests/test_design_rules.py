@@ -69,19 +69,9 @@ def test_cli_starts_without_dataclasses_or_inspect(tmp_path):
         assert loaded == str(sorted(expected)), argv
 
 
-# Each ``module: from .owner import _name`` in src/ apart from those from
-# ``_record``, which depends on nothing and holds the package's shared private
-# rules, and why the public name does not serve.
-PRIVATE_IMPORTS = {
-    "semimodule: from .numsg import _semigroup": (
-        "the necklace maps look <p,q> up twice per round trip; on a 2-vCPU Xeon, "
-        "best of 5, _pair_semigroup takes 0.16 µs against 0.85 µs for "
-        "semigroup_from_generators, about 10% of a 13.4 µs <7,9> round trip"
-    ),
-}
-
-
 def test_private_names_cross_modules_only_from_record():
+    # ``_record`` depends on nothing and holds the package's shared private
+    # rules; every other layer reaches another through its public names
     found = {
         f"{file_name.removesuffix('.py')}: from .{node.module} import {alias.name}"
         for file_name, tree in SOURCES.items()
@@ -90,12 +80,14 @@ def test_private_names_cross_modules_only_from_record():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert found == set(PRIVATE_IMPORTS)
+    assert found == set()
 
 
 # Each function in src/ that calls its own name, and what bounds its depth.
 RECURSIONS = {
-    "semimodule.walk": "one frame per window position, frobenius + genus (ROADMAP item 2)",
+    "semimodule.walk": (
+        "one frame per position up to 2*genus - 1, a Delta-set's largest gap (ROADMAP item 2)"
+    ),
     "invariants._parse": "one frame per branches[ level of the token (ROADMAP item 4)",
     "invariants.verify": "MultiBranch.verify: one frame per nesting level (ROADMAP item 4)",
 }

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from collections import Counter
 from itertools import combinations, compress, product
 from math import gcd
@@ -611,6 +612,26 @@ class TestWorkCounts:
         assert len(enumerate_delta_sets(s)) == count
         assert work == {"_checked_apery": count, "cogenus": count}
 
+    @pytest.mark.parametrize("gens, calls", [((3, 5), 78), ((4, 6, 9), 340), ((5, 6), 2104)],
+                             ids=["3,5", "4,6,9", "5,6"])
+    def test_search_opens_no_position_past_the_largest_gap(self, gens, calls):
+        # walk cuts at 2*genus - 1, the largest gap a Delta-set can have; a
+        # later cut only opens subtrees that hold no module
+        s = semigroup_from_generators(gens)
+        counted = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                counted[frame.f_code.co_name] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            enumerate_delta_sets(s)
+        finally:
+            sys.setprofile(previous)
+        assert counted["walk"] == calls
+
     def test_each_gap_set_read_builds_one_list(self, work):
         # gap_set is derived from apery on every read and never stored
         module = necklace_to_delta((1, 2, 4, 8, 9, 11, 15), 7, 9)
@@ -697,7 +718,7 @@ class TestNecklaceProfile:
 
     @pytest.mark.parametrize("p,q", PROFILE_PAIRS + [(7, 4)])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_translated_a_seq_rejected(self, p, q, k):
+    def test_offsets_argument_rejected(self, p, q, k):
         # no offsets may be passed, not even the members' own cycle (k = 0)
         prof = NecklaceProfile(p, q, members_read_from(p, q, 0))
         a = offset_cycle(prof.members, p, q)
