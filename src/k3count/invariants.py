@@ -30,8 +30,8 @@ from math import prod
 from operator import index as _index
 
 from ._record import CurveSpecError, Record, _int_values
-from .numsg import NumericalSemigroup, semigroup_from_generators
-from .semimodule import count_necklaces, enumerate_delta_sets, require_coprime
+from .numsg import NumericalSemigroup, pair_semigroup, require_coprime, semigroup_from_generators
+from .semimodule import count_necklaces, enumerate_delta_sets
 
 
 class Route(Record):
@@ -75,7 +75,7 @@ class PlanarPQ(Singularity, Record):
         return epsilon_pq(self.p, self.q)
 
     def verify(self, max_window: int | None = None) -> Route:
-        s = semigroup_from_generators((self.p, self.q))
+        s = pair_semigroup(self.p, self.q)
         window = s.frobenius + s.genus
         if max_window is not None and window > max_window:
             return Route(reason=f"enumeration window {window} exceeds max-window {max_window}")

@@ -14,9 +14,9 @@ membership test and the generator rule, ``module_generators``, that
 is the package's one sum(w // m), taken in closed form as
 (sum(w) - m(m-1)/2) / m: that holds for any m integers with one in each
 class mod m, in any order and negative ones included, since their residues
-are then 0, 1, ..., m-1.  ``semigroup_from_generators`` and, unchecked
-for coprime p, q, ``pair_semigroup`` share one cache of recent instances
-keyed by sorted distinct generators: compare semigroups with ``==``.
+are then 0, 1, ..., m-1.  The pair rule ``require_coprime`` lives here with
+the lookup that trusts it: unchecked for a pair that ``require_coprime``
+accepted, ``pair_semigroup`` shares the cache of ``semigroup_from_generators``.
 """
 
 from __future__ import annotations
@@ -146,8 +146,18 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     return _semigroup(_normalized_generators(gens))
 
 
+def require_coprime(p: int, q: int) -> tuple[int, int]:
+    """Return (p, q) as ints; raise ValueError unless positive and coprime."""
+    p, q = index(p), index(q)
+    if p < 1 or q < 1:
+        raise ValueError(f"p and q must be positive, got ({p}, {q})")
+    if gcd(p, q) != 1:
+        raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
+    return p, q
+
+
 def pair_semigroup(p: int, q: int) -> NumericalSemigroup:
-    """<p,q> for positive coprime ints p, q, the instance ``semigroup_from_generators`` caches."""
+    """<p,q> for a pair ``require_coprime`` accepted, from ``semigroup_from_generators``' cache."""
     return _semigroup((p, q) if p < q else (q, p) if q < p else (p,))
 
 

@@ -41,11 +41,11 @@ and ``enumerate_delta_sets`` records them as it places gaps.
 from __future__ import annotations
 
 from itertools import compress
-from math import comb, gcd
+from math import comb
 from operator import index
 
 from ._record import Record
-from .numsg import NumericalSemigroup, cogenus, module_generators, pair_semigroup
+from .numsg import NumericalSemigroup, cogenus, module_generators, pair_semigroup, require_coprime
 
 
 class InvalidModuleError(ValueError):
@@ -181,16 +181,6 @@ def count_necklaces(p: int, q: int) -> int:
     total, rem = divmod(comb(p + q, p), p + q)
     assert rem == 0  # rotation acts freely when gcd(p, p+q) = 1
     return total
-
-
-def require_coprime(p: int, q: int) -> tuple[int, int]:
-    """Return (p, q) as ints; raise ValueError unless positive and coprime."""
-    p, q = index(p), index(q)
-    if p < 1 or q < 1:
-        raise ValueError(f"p and q must be positive, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
-    return p, q
 
 
 class NecklaceProfile(Record):

@@ -261,14 +261,18 @@ class TestEpsilon:
             1, "", "error: p and q must be positive, got (0, 1)\n"
         )
 
-    @pytest.mark.parametrize("token", [
-        "sg(99999999999999999999,100000000000000000000)",
-        "pq(99999999999999999999,100000000000000000000)",
-        "sg(2,99999999999999999999)",
-    ], ids=["apery-table", "binomial", "enumeration-window"])
-    def test_number_past_the_index_size_is_domain_error(self, capsys, token):
-        # each raises OverflowError before building anything large
-        code, out, err = run_cli(capsys, "epsilon", token)
+    @pytest.mark.parametrize("argv", [
+        ("epsilon", "sg(99999999999999999999,100000000000000000000)"),
+        ("epsilon", "pq(99999999999999999999,100000000000000000000)"),
+        ("epsilon", "sg(2,99999999999999999999)"),
+        ("modules", "99999999999999999999,100000000000000000000"),
+        ("modules", "2,99999999999999999999"),
+    ], ids=["apery-table", "binomial", "enumeration-window", "modules-apery-table",
+            "modules-search"])
+    def test_number_past_the_index_size_is_domain_error(self, capsys, argv):
+        # each raises OverflowError before building anything large; modules
+        # reaches the Apéry table and the search's member list as epsilon does
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -1,6 +1,8 @@
 """Epsilon routes, ADE table, branch decompositions, and the parser."""
 
+import sys
 import tracemalloc
+from collections import Counter
 from functools import cached_property
 from math import gcd, prod
 
@@ -28,7 +30,7 @@ from k3count.invariants import (
     parse_curve_file,
     parse_singularity,
 )
-from k3count.numsg import InfiniteComplementError, semigroup_from_generators
+from k3count.numsg import InfiniteComplementError, pair_semigroup, semigroup_from_generators
 from k3count.semimodule import count_necklaces
 
 DESK_PAIRS = [
@@ -460,6 +462,26 @@ class TestDescriptorContract:
         assert MultiBranch((PlanarPQ(3, 5), Ade("E", 8))).verify(max_window=5) == Route(
             reason="enumeration window 11 exceeds max-window 5"
         )
+
+    def test_verify_looks_the_checked_pair_up(self):
+        # PlanarPQ checked p and q when built, so verify reads the cached
+        # <3,5> through pair_semigroup and normalizes no generators again
+        pair_semigroup(3, 5)
+        counted = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                counted[frame.f_code.co_name] += 1
+
+        point = PlanarPQ(3, 5)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = point.verify()
+        finally:
+            sys.setprofile(previous)
+        assert result == Route("enumeration", 7)
+        assert counted["_normalized_generators"] == 0
 
     def test_window_skip_builds_no_gap_list(self):
         # the window is frobenius + genus, read off the 1000 Apéry members
