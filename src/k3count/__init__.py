@@ -25,15 +25,15 @@ _EXPORTS = {
         "epsilon_semigroup", "multiplicity", "parse_curve", "parse_curve_file",
         "parse_singularity",
     ),
-    "numsg": ("InfiniteComplementError", "NumericalSemigroup", "semigroup_from_generators"),
+    "numsg": ("InfiniteComplementError", "NumericalSemigroup", "count_necklaces",
+              "semigroup_from_generators"),
     "qseries": (
         "NonInvertibleError", "TruncatedSeries", "euler_product", "series_inv",
         "series_mul", "series_one", "yau_zaslow_coefficients",
     ),
     "semimodule": (
-        "GammaModule", "InvalidModuleError", "NecklaceProfile", "count_necklaces",
-        "delta_to_necklace", "enumerate_delta_sets", "minimal_generators",
-        "necklace_to_delta",
+        "GammaModule", "InvalidModuleError", "NecklaceProfile", "delta_to_necklace",
+        "enumerate_delta_sets", "minimal_generators", "necklace_to_delta",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -7,11 +7,11 @@ Three routes compute it; each descriptor's ``epsilon`` calls the one named
 ``method`` and its ``verify`` calls an independent one, returning a ``Route``:
 
 * ``PlanarPQ``, the planar unibranch point u^p = v^q with p and q
-  coprime: closed form binomial(p+q,p)/(p+q), checked by Delta-set
-  enumeration over <p,q>;
+  coprime: ``numsg``'s closed form binomial(p+q,p)/(p+q), checked by
+  Delta-set enumeration over <p,q>;
 * ``SemigroupPoint``: exhaustive Delta-set enumeration for any value
-  semigroup, checked by the closed form when it has two minimal
-  generators;
+  semigroup (``epsilon_semigroup``, which alone loads ``semimodule``),
+  checked by the closed form when it has two minimal generators;
 * ``Ade``: a lookup table for the simple singularities, checked by the
   product over the planar branches each decomposes into;
 * ``MultiBranch``: the product over its branches, checked by verifying
@@ -30,8 +30,8 @@ from math import prod
 from operator import index as _index
 
 from ._record import CurveSpecError, Record, _int_values
-from .numsg import NumericalSemigroup, pair_semigroup, require_coprime, semigroup_from_generators
-from .semimodule import count_necklaces, enumerate_delta_sets
+from .numsg import NumericalSemigroup, semigroup_from_generators
+from .numsg import count_necklaces, pair_semigroup, require_coprime
 
 
 class Route(Record):
@@ -193,6 +193,7 @@ def epsilon_pq(p: int, q: int) -> int:
 
 def epsilon_semigroup(s: NumericalSemigroup) -> int:
     """epsilon by exhaustive count of the Delta-sets of ``s``."""
+    from .semimodule import enumerate_delta_sets  # only an enumerating route loads it
     return len(enumerate_delta_sets(s))
 
 

@@ -15,14 +15,14 @@ is the package's one sum(w // m), taken in closed form as
 (sum(w) - m(m-1)/2) / m: that holds for any m integers with one in each
 class mod m, in any order and negative ones included, since their residues
 are then 0, 1, ..., m-1.  The pair rule ``require_coprime`` lives here with
-the lookup that trusts it: unchecked for a pair that ``require_coprime``
-accepted, ``pair_semigroup`` shares the cache of ``semigroup_from_generators``.
+what trusts it: ``count_necklaces``, the closed form binomial(p+q,p)/(p+q) that
+the necklace bijection counts, and the unchecked cache lookup ``pair_semigroup``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from math import gcd
+from math import comb, gcd
 from operator import index
 
 from ._record import Record
@@ -154,6 +154,14 @@ def require_coprime(p: int, q: int) -> tuple[int, int]:
     if gcd(p, q) != 1:
         raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
     return p, q
+
+
+def count_necklaces(p: int, q: int) -> int:
+    """Rotation classes of p-subsets of {1..p+q}: binomial(p+q,p)/(p+q)."""
+    p, q = require_coprime(p, q)
+    total, rem = divmod(comb(p + q, p), p + q)
+    assert rem == 0  # rotation acts freely when gcd(p, p+q) = 1
+    return total
 
 
 def pair_semigroup(p: int, q: int) -> NumericalSemigroup:

@@ -15,7 +15,7 @@ the offset recurrence
 and D is recovered as the union of the arithmetic progressions
 a(s) + p*N over s in S.  Rotating S shifts the sequence a and leaves D
 unchanged, so rotation classes count the sets: binomial(p+q,p)/(p+q)
-exactly, the rotation action being free because gcd(p, p+q) = 1.
+exactly (``numsg.count_necklaces``), as rotation acts freely when gcd(p, p+q) = 1.
 
 Both steps are +q modulo p+q, so a(k+1) = a(1) + k*q (mod p+q): the
 offsets run once through Z/(p+q) at stride q.  In either order, the least
@@ -41,11 +41,11 @@ and ``enumerate_delta_sets`` records them as it places gaps.
 from __future__ import annotations
 
 from itertools import compress
-from math import comb
 from operator import index
 
 from ._record import Record
 from .numsg import NumericalSemigroup, cogenus, module_generators, pair_semigroup, require_coprime
+from .numsg import count_necklaces  # the closed form the bijection counts, re-exported
 
 
 class InvalidModuleError(ValueError):
@@ -173,14 +173,6 @@ def enumerate_delta_sets(s: NumericalSemigroup) -> list[GammaModule]:
 def minimal_generators(m: GammaModule) -> tuple[int, ...]:
     """Smallest G with Delta the union of g + Gamma over g in G, read off ``apery``."""
     return module_generators(m.apery, m.semigroup.generators)
-
-
-def count_necklaces(p: int, q: int) -> int:
-    """Rotation classes of p-subsets of {1..p+q}: binomial(p+q,p)/(p+q)."""
-    p, q = require_coprime(p, q)
-    total, rem = divmod(comb(p + q, p), p + q)
-    assert rem == 0  # rotation acts freely when gcd(p, p+q) = 1
-    return total
 
 
 class NecklaceProfile(Record):

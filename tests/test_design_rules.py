@@ -51,16 +51,20 @@ def test_cli_starts_without_dataclasses_or_inspect(tmp_path):
     # each CLI call is a fresh process, so start-up imports are paid every time
     assert _loaded_after("import k3count.cli") == "['k3count', 'k3count._record', 'k3count.cli']"
     assert _loaded_after("import k3count") == "['k3count']"
-    # a subcommand loads only the modules it calls, and json only for --json
+    # a subcommand loads only the modules it calls, semimodule only when a
+    # route enumerates, and json only for --json
     curves = tmp_path / "curves.txt"
     curves.write_text("node\n", encoding="utf-8")
     base = ["k3count", "k3count._record", "k3count.cli"]
     modules = base + ["k3count.numsg", "k3count.semimodule"]
-    epsilon = modules + ["k3count.invariants"]
+    epsilon = base + ["k3count.numsg", "k3count.invariants"]
+    enumerating = epsilon + ["k3count.semimodule"]
     for argv, expected in [
         (["eg", "3"], base + ["k3count.qseries"]),
         (["modules", "3,5"], modules),
-        (["epsilon", "pq(3,5)", "--verify"], epsilon),
+        (["epsilon", "pq(3,5)"], epsilon),
+        (["epsilon", "sg(3,5)"], enumerating),
+        (["epsilon", "pq(3,5)", "--verify"], enumerating),
         (["multiplicity", "E8,node"], epsilon),
         (["check", str(curves), "--g", "1"], epsilon + ["k3count.qseries"]),
         (["epsilon", "E8", "--json"], epsilon + ["json"]),
@@ -278,6 +282,16 @@ def test_exports_are_exactly_the_declared_names():
             assert getattr(k3count, name) is getattr(owner, name), name
     # before any name is read, as in a fresh interpreter
     assert _last_line("import k3count; print(sorted(set(k3count.__all__) - set(dir(k3count))))") == "[]"
+
+
+def test_closed_form_is_one_object_wherever_it_is_read():
+    # numsg owns count_necklaces; semimodule re-exports it for its readers
+    from k3count import numsg, semimodule
+
+    assert k3count.count_necklaces is numsg.count_necklaces is semimodule.count_necklaces
+    # read from the package, it loads no Delta-set code
+    loaded = _loaded_after("import k3count\nk3count.count_necklaces")
+    assert loaded == "['k3count', 'k3count._record', 'k3count.numsg']"
 
 
 def test_star_import_binds_exactly_the_exports():

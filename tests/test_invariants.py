@@ -30,8 +30,12 @@ from k3count.invariants import (
     parse_curve_file,
     parse_singularity,
 )
-from k3count.numsg import InfiniteComplementError, pair_semigroup, semigroup_from_generators
-from k3count.semimodule import count_necklaces
+from k3count.numsg import (
+    InfiniteComplementError,
+    count_necklaces,
+    pair_semigroup,
+    semigroup_from_generators,
+)
 
 DESK_PAIRS = [
     (p, q)
