@@ -9,8 +9,8 @@ subcommand returns its exit code, its JSON record and its text lines
 
 Each process runs one subcommand, so each ``_cmd_*`` imports the modules it
 calls and ``json`` is imported only to render JSON: ``eg`` loads
-``qseries`` alone.  The top imports come from ``_record``, which depends on
-nothing: what ``main`` needs before it dispatches and ``modules``' integer list.
+``qseries`` alone.  The top imports come from the package root, which imports
+no submodule: what ``main`` needs before it dispatches and ``modules``' integer list.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._record import _INTEGER, CurveSpecError, _int_values
+from . import _INTEGER, CurveSpecError, _int_values
 
 
 def _nonneg(text: str) -> int:

@@ -29,7 +29,7 @@ from itertools import accumulate
 from math import prod
 from operator import index as _index
 
-from ._record import CurveSpecError, Record, _int_values
+from . import CurveSpecError, Record, _int_values
 from .numsg import NumericalSemigroup, semigroup_from_generators
 from .numsg import count_necklaces, pair_semigroup, require_coprime
 

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache, reduce
 from math import comb, gcd
 from operator import index
 
-from ._record import Record
+from . import Record
 
 
 class InfiniteComplementError(ValueError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import isqrt
 from operator import index
 
-from ._record import Record
+from . import Record
 
 
 class NonInvertibleError(ValueError):

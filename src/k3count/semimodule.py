@@ -43,7 +43,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import index
 
-from ._record import Record
+from . import Record
 from .numsg import NumericalSemigroup, cogenus, module_generators, pair_semigroup, require_coprime
 from .numsg import count_necklaces  # the closed form the bijection counts, re-exported
 

@@ -10,7 +10,8 @@ killed when they fail.  An unmutated copy runs first and must pass.
     python3 tests/mutate.py NAME ...   # the named ones
 
 Prints one line per mutant with its time, then killed of total; exits 1
-if a mutant survives.  pytest does not collect this file.
+if a mutant survives, and 2, before running anything, if a name is not in
+``mutants.json``.  pytest does not collect this file.
 """
 
 import json
@@ -54,6 +55,10 @@ def run_tests(mutant: dict | None) -> tuple[bool, float]:
 
 
 def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {m["name"] for m in MUTANTS})
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}")
+        return 2
     chosen = [m for m in MUTANTS if not names or m["name"] in names]
     passed, seconds = run_tests(None)
     if not passed:

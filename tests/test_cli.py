@@ -310,6 +310,11 @@ class TestModules:
         code, _, _ = run_cli(capsys, "modules", "3,x")
         assert code == 2
 
+    def test_list_starting_with_a_minus_follows_a_double_dash(self, capsys):
+        # argparse reads "-1,2" as an option; after "--" it is the list
+        code, out, err = run_cli(capsys, "modules", "--", "-1,2")
+        assert (code, out, err) == (1, "", "error: generators must be positive, got -1\n")
+
     @pytest.mark.parametrize("generators", ["+3,5", "\u0663,5"])
     def test_generators_follow_the_sg_token_syntax(self, capsys, generators):
         # int() takes a sign and non-ASCII digits; the mini-language does not,

@@ -49,13 +49,13 @@ def _loaded_after(code):
 
 def test_cli_starts_without_dataclasses_or_inspect(tmp_path):
     # each CLI call is a fresh process, so start-up imports are paid every time
-    assert _loaded_after("import k3count.cli") == "['k3count', 'k3count._record', 'k3count.cli']"
+    assert _loaded_after("import k3count.cli") == "['k3count', 'k3count.cli']"
     assert _loaded_after("import k3count") == "['k3count']"
     # a subcommand loads only the modules it calls, semimodule only when a
     # route enumerates, and json only for --json
     curves = tmp_path / "curves.txt"
     curves.write_text("node\n", encoding="utf-8")
-    base = ["k3count", "k3count._record", "k3count.cli"]
+    base = ["k3count", "k3count.cli"]
     modules = base + ["k3count.numsg", "k3count.semimodule"]
     epsilon = base + ["k3count.numsg", "k3count.invariants"]
     enumerating = epsilon + ["k3count.semimodule"]
@@ -73,14 +73,14 @@ def test_cli_starts_without_dataclasses_or_inspect(tmp_path):
         assert loaded == str(sorted(expected)), argv
 
 
-def test_private_names_cross_modules_only_from_record():
-    # ``_record`` depends on nothing and holds the package's shared private
-    # rules; every other layer reaches another through its public names
+def test_private_names_cross_modules_only_from_the_package_root():
+    # the package root imports no submodule and holds the shared private
+    # rules; every layer reaches another through its public names
     found = {
         f"{file_name.removesuffix('.py')}: from .{node.module} import {alias.name}"
         for file_name, tree in SOURCES.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level and node.module != "_record"
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is not None
         for alias in node.names
         if alias.name.startswith("_")
     }
@@ -149,18 +149,15 @@ def _unreferenced(modules):
     """``module.name`` for every non-dunder def in ``modules`` whose name they never read.
 
     ``modules`` maps each file name to its parsed source.  A read is a
-    loaded ``Name`` or ``Attribute``, or an imported name, in any file but
-    ``__init__.py``, which only declares the public API; a store, such as a class
-    attribute sharing a method's name, is not one.  A reference inside the
-    function's own body counts.
+    loaded ``Name`` or ``Attribute``, or an imported name, in any file; a
+    store, such as a class attribute sharing a method's name, is not one.
+    A reference inside the function's own body counts.
     """
     defined, read = set(), set()
     for file_name, tree in modules.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
                 defined.add((file_name.removesuffix(".py"), node.name))
-            elif file_name == "__init__.py":
-                continue
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -291,7 +288,7 @@ def test_closed_form_is_one_object_wherever_it_is_read():
     assert k3count.count_necklaces is numsg.count_necklaces is semimodule.count_necklaces
     # read from the package, it loads no Delta-set code
     loaded = _loaded_after("import k3count\nk3count.count_necklaces")
-    assert loaded == "['k3count', 'k3count._record', 'k3count.numsg']"
+    assert loaded == "['k3count', 'k3count.numsg']"
 
 
 def test_star_import_binds_exactly_the_exports():

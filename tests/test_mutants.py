@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import mutate
+
 ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = json.loads((ROOT / "tests" / "mutants.json").read_text(encoding="utf-8"))
 
@@ -25,3 +27,9 @@ def test_mutated_file_compiles(mutant):
     # a mutant that breaks the syntax fails every test at import, whatever they check
     text = (ROOT / mutant["file"]).read_text(encoding="utf-8")
     compile(text.replace(mutant["old"], mutant["new"]), mutant["file"], "exec")
+
+
+def test_unknown_name_is_refused_before_any_run(capsys):
+    # a typo must not read as "0 of 0 mutants killed" and exit 0
+    assert mutate.main(["no-such-mutant"]) == 2
+    assert capsys.readouterr().out == "unknown mutants: no-such-mutant\n"

@@ -86,6 +86,9 @@ def test_unequal_values_differ():
     assert PlanarPQ(2, 3) != PlanarPQ(3, 2)
     assert GenusSumReport(1, 2) != GenusSumReport(1, 3)
     assert Route("enumeration", 7) != Route(reason="enumeration window 11 exceeds max-window 5")
+    # the same field values, ((3, 5),), and the same hash: only the class tells them apart
+    s, series = NumericalSemigroup((3, 5)), TruncatedSeries((3, 5))
+    assert s != series and series != s
 
 
 def test_semigroup_compares_without_its_gap_list():
