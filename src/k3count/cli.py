@@ -4,8 +4,8 @@ Exit codes: 0 for success (including a matching ``check``), 1 for domain
 errors such as non-coprime inputs and for running out of memory, 2 for
 usage and parse errors (a curve file that cannot be opened or is not
 UTF-8 included), 3 for a ``check`` that ran but did not match.  Each
-subcommand returns its exit code, its JSON record and its text lines
-(formatted only when iterated); ``main`` prints.
+subcommand returns its exit code, a record of values (a token as its descriptor)
+and its text lines (formatted only when iterated); ``main`` renders one of them.
 
 Each process runs one subcommand, so each ``_cmd_*`` imports the modules it
 calls and ``json`` is imported only to render JSON: ``eg`` loads
@@ -101,7 +101,7 @@ def _cmd_epsilon(args) -> tuple:
 
     sing = parse_singularity(args.token)
     eps = sing.epsilon
-    record = {"token": str(sing), "epsilon": eps, "method": sing.method}
+    record = {"token": sing, "epsilon": eps, "method": sing.method}
     text = [("epsilon", eps), ("method", sing.method)]
     code = 0
     if args.verify:
@@ -122,14 +122,13 @@ def _cmd_modules(args) -> tuple:
     from .numsg import semigroup_from_generators
     from .semimodule import enumerate_delta_sets, minimal_generators
 
-    gens = _int_values(args.generators, args.generators)
-    modules = enumerate_delta_sets(semigroup_from_generators(gens))
-    rows = [(m, minimal_generators(m)) for m in modules]
-    record = [{"gaps": list(m.gap_set), "generators": list(g)} for m, g in rows]
+    semigroup = semigroup_from_generators(_int_values(args.generators, args.generators))
+    rows = [(m.gap_set, minimal_generators(m)) for m in enumerate_delta_sets(semigroup)]
+    record = [{"gaps": gaps, "generators": mingens} for gaps, mingens in rows]
 
     def lines():
-        for m, mingens in rows:
-            yield f"{m} gens={{{','.join(map(str, mingens))}}}"
+        for gaps, mingens in rows:
+            yield f"gaps={{{','.join(map(str, gaps))}}} gens={{{','.join(map(str, mingens))}}}"
         yield f"count={len(rows)}"
 
     return 0, record, lines()
@@ -139,11 +138,14 @@ def _cmd_multiplicity(args) -> tuple:
     from .invariants import parse_curve
 
     curve = parse_curve(args.curve)
-    points = [{"token": str(s), "epsilon": s.epsilon} for s in curve.singularities]
+    points = [{"token": s, "epsilon": s.epsilon} for s in curve.singularities]
     record = {"singularities": points, "multiplicity": curve.multiplicity}
-    text = [(f"{p['token']}: epsilon", p["epsilon"]) for p in points]
-    text.append(("multiplicity", curve.multiplicity))
-    return 0, record, (f"{key} = {value}" for key, value in text)
+
+    def lines():
+        yield from (f"{p['token']}: epsilon = {p['epsilon']}" for p in points)
+        yield f"multiplicity = {curve.multiplicity}"
+
+    return 0, record, lines()
 
 
 def _cmd_check(args) -> tuple:
@@ -174,7 +176,7 @@ def main(argv=None) -> int:
         if args.json:
             import json
 
-            lines = [json.dumps(record, indent=2)]
+            lines = [json.dumps(record, indent=2, default=str)]  # a descriptor as its token
         print("\n".join(lines))
         return code
     except (CurveSpecError, OSError, UnicodeDecodeError) as exc:

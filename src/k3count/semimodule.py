@@ -76,9 +76,6 @@ class GammaModule(Record):
     __contains__ = NumericalSemigroup.__contains__
     gap_set = NumericalSemigroup.gap_set
 
-    def __str__(self) -> str:
-        return "gaps={" + ",".join(str(g) for g in self.gap_set) + "}"
-
 
 def _checked_apery(least, semigroup: NumericalSemigroup) -> tuple[int, ...]:
     """``least`` as a tuple, if it is the Apéry tuple of a module over ``semigroup``.

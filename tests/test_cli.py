@@ -375,6 +375,55 @@ class TestDeepToken:
         sing = payload["singularities"][0] if "singularities" in payload else payload
         assert (sing["token"], sing["epsilon"]) == (DEEP_TOKEN, 2)
 
+    # 250 levels: text epsilon renders no token, so it answers where rendering
+    # one still recurses too deep (known_defects.json: --json and multiplicity)
+    @pytest.mark.parametrize("flags, stdout", [
+        ((), "epsilon = 1\nmethod = branch-product\n"),
+        (("--verify",), (
+            "epsilon = 1\nmethod = branch-product\n"
+            "verify-method = per-branch\nverify-value = 1\nverified = true\n"
+        )),
+    ], ids=["epsilon", "verify"])
+    def test_depth_250_text_epsilon_answers(self, capsys, flags, stdout):
+        token = "branches[A1;" * 250 + "A1" + "]" * 250
+        assert run_cli(capsys, "epsilon", token, *flags) == (0, stdout, "")
+
+
+class _Rendered(Exception):
+    """Raised by a descriptor's ``__str__`` where a test forbids rendering a token."""
+
+
+class TestRenderPoint:
+    # a record holds the descriptor; only main renders it, and only as JSON
+    @pytest.mark.parametrize("argv, eps", [
+        (("epsilon", "node"), 1),
+        (("epsilon", "branches[A1;pq(3,5)]", "--verify"), 7),
+    ], ids=["node", "verify"])
+    def test_text_epsilon_renders_no_token(self, capsys, monkeypatch, argv, eps):
+        def render(self):
+            raise _Rendered(type(self).__name__)
+
+        for cls in (k3count.PlanarPQ, k3count.Ade, k3count.SemigroupPoint, k3count.MultiBranch):
+            monkeypatch.setattr(cls, "__str__", render)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"epsilon = {eps}"
+        with pytest.raises(_Rendered):
+            main(["--json", *argv])
+
+    def test_json_multiplicity_renders_each_token_once(self, capsys, monkeypatch):
+        rendered = []
+        render = k3count.MultiBranch.__str__
+
+        def counted(self):
+            rendered.append(self)
+            return render(self)
+
+        monkeypatch.setattr(k3count.MultiBranch, "__str__", counted)
+        code, out, _ = run_cli(capsys, "--json", "multiplicity", "node,node")
+        assert code == 0 and json.loads(out)["multiplicity"] == 1
+        assert rendered == [k3count.NODE, k3count.NODE]
+
 
 class TestCheck:
     def test_match_exits_zero(self, tmp_path, capsys):

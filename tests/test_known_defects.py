@@ -1,13 +1,18 @@
 """The ledger of known defects, ``known_defects.json``, and a strict xfail per crash.
 
 Each crashing input raises RecursionError from ``main(argv)`` within a few
-milliseconds.  Its test is expected to fail with exactly that error, so a fix
-turns it into an XPASS, which strict mode reports as a failure: the fixing
-change then moves the entry to ``cli_golden.json`` or a named regression test.
+milliseconds, with the function that its ``where`` names on the stack.  Its
+test is expected to fail with exactly that error, so a fix turns it into an
+XPASS, which strict mode reports as a failure: the fixing change then moves
+the entry to ``cli_golden.json`` or a named regression test.  A ``where``
+that names a function off the stack fails the test with an AssertionError.
 Inputs that run without bound are listed with no test.
 """
 
 import json
+import re
+import sys
+import traceback
 from pathlib import Path
 
 import pytest
@@ -28,6 +33,18 @@ def argv_of(defect) -> list[str]:
     ]
 
 
+def where_function(defect) -> str:
+    """The function at the head of ``where``, before the first ':' or space, without
+    its module: its qualified name, or before Python 3.11 (no ``co_qualname``) its name."""
+    head = re.split("[: ]", defect["where"], maxsplit=1)[0].split(".", 1)[1]
+    return head if sys.version_info >= (3, 11) else head.rpartition(".")[2]
+
+
+def frame_functions(tb) -> set[str]:
+    """The qualified name of each frame's function in ``tb``, or its name before 3.11."""
+    return {getattr(f.f_code, "co_qualname", f.f_code.co_name) for f, _ in traceback.walk_tb(tb)}
+
+
 def test_ledger_entries_are_complete():
     assert len({d["id"] for d in DEFECTS}) == len(DEFECTS)
     for d in DEFECTS:
@@ -43,6 +60,11 @@ def test_known_crash(defect, capsys):
     try:
         main(argv_of(defect))
     except RecursionError as exc:
+        functions = frame_functions(exc.__traceback__)
         # the same error without its thousand frames, which pytest would
         # spend seconds rendering into a report that xfail then hides
-        raise RecursionError(*exc.args) from None
+        error = RecursionError(*exc.args)
+    else:
+        return  # answered: strict mode reports the XPASS
+    assert where_function(defect) in functions, defect["where"]
+    raise error

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3count import numsg, semimodule
+from k3count.cli import main
 from k3count.numsg import NumericalSemigroup, semigroup_from_generators
 from k3count.semimodule import (
     GammaModule,
@@ -631,6 +632,13 @@ class TestWorkCounts:
         finally:
             sys.setprofile(previous)
         assert counted["walk"] == calls
+
+    @pytest.mark.parametrize("argv", [["modules", "3,5"], ["--json", "modules", "3,5"]],
+                             ids=["text", "json"])
+    def test_modules_builds_each_gap_set_once(self, work, capsys, argv):
+        # the text line and the JSON record read one gap tuple per module
+        assert main(argv) == 0
+        assert work["gaps_below"] == 7
 
     def test_each_gap_set_read_builds_one_list(self, work):
         # gap_set is derived from apery on every read and never stored
